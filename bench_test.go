@@ -664,7 +664,7 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// M10 — incremental analysis: memoized curve algebra + analysis cache.
+// M10/M11 — incremental analysis: memoized curve algebra + analysis plans.
 // ---------------------------------------------------------------------------
 
 // reportHitRates attaches the warm-path hit rates of both memo layers to

@@ -168,13 +168,19 @@ func secondsToDuration(s float64) simtime.Duration {
 // FCFSBound computes the paper's approach-1 multiplexer bound
 // D = Σ bᵢ/C + t_techno for the connections in specs.
 func FCFSBound(specs []FlowSpec, cfg Config) (simtime.Duration, error) {
+	return fcfsBound(SumB(specs), SumR(specs), cfg)
+}
+
+// fcfsBound is FCFSBound over the group's sums Σbᵢ and Σrᵢ, the only
+// quantities the closed form reads.
+func fcfsBound(sumB simtime.Size, sumR simtime.Rate, cfg Config) (simtime.Duration, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	if SumR(specs) > cfg.LinkRate {
+	if sumR > cfg.LinkRate {
 		return 0, ErrUnstable
 	}
-	d := float64(SumB(specs).Bits()) / float64(cfg.LinkRate.BitsPerSecond())
+	d := float64(sumB.Bits()) / float64(cfg.LinkRate.BitsPerSecond())
 	return secondsToDuration(d) + cfg.TTechno, nil
 }
 
@@ -182,37 +188,106 @@ func FCFSBound(specs []FlowSpec, cfg Config) (simtime.Duration, error) {
 // the connections in specs (all classes together; the function splits
 // them).
 func PriorityBound(specs []FlowSpec, p traffic.Priority, cfg Config) (simtime.Duration, error) {
+	var s classSums
+	for _, f := range specs {
+		s.add(f.B, f.R, f.Msg.Priority)
+	}
+	return s.priorityBound(p, cfg)
+}
+
+// classSums holds the per-class integer sums the closed forms read from
+// one multiplexer's flow group: Σbᵢ, Σrᵢ, max bᵢ and the member count of
+// each 802.1p class. Integer sums do not depend on the order the members
+// are added in, so a group summed in any order prices identically.
+type classSums struct {
+	b, max [traffic.NumPriorities]simtime.Size
+	r      [traffic.NumPriorities]simtime.Rate
+	n      [traffic.NumPriorities]int
+}
+
+// add accounts one member flow (bᵢ, rᵢ) of class p.
+func (s *classSums) add(b simtime.Size, r simtime.Rate, p traffic.Priority) {
+	s.b[p] += b
+	s.r[p] += r
+	if b > s.max[p] {
+		s.max[p] = b
+	}
+	s.n[p]++
+}
+
+// total returns Σbᵢ and Σrᵢ over every class.
+func (s *classSums) total() (simtime.Size, simtime.Rate) {
+	var b simtime.Size
+	var r simtime.Rate
+	for q := traffic.P0; q < traffic.NumPriorities; q++ {
+		b += s.b[q]
+		r += s.r[q]
+	}
+	return b, r
+}
+
+// priorityBound evaluates D_p for class p over the summed group.
+func (s *classSums) priorityBound(p traffic.Priority, cfg Config) (simtime.Duration, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
 	if !p.Valid() {
 		return 0, fmt.Errorf("analysis: invalid priority %v", p)
 	}
-	if SumR(specs) > cfg.LinkRate {
+	if _, sumR := s.total(); sumR > cfg.LinkRate {
 		return 0, ErrUnstable
 	}
-	classes := ByPriority(specs)
 	var numBits int64
 	var higherRate simtime.Rate
-	var lower []FlowSpec
+	var lowerMax simtime.Size
 	for q := traffic.P0; q < traffic.NumPriorities; q++ {
 		switch {
 		case q < p:
-			numBits += int64(SumB(classes[q]))
-			higherRate += SumR(classes[q])
+			numBits += int64(s.b[q])
+			higherRate += s.r[q]
 		case q == p:
-			numBits += int64(SumB(classes[q]))
+			numBits += int64(s.b[q])
 		default:
-			lower = append(lower, classes[q]...)
+			lowerMax = max(lowerMax, s.max[q])
 		}
 	}
-	numBits += int64(MaxB(lower))
+	numBits += int64(lowerMax)
 	den := cfg.LinkRate - higherRate
 	if den <= 0 {
 		return 0, ErrUnstable
 	}
 	d := float64(numBits) / float64(den.BitsPerSecond())
 	return secondsToDuration(d) + cfg.TTechno, nil
+}
+
+// muxTable is one multiplexer's bound for each 802.1p class of member:
+// FCFS has a single bound for the whole group, priority one per class
+// present. A member's bound is entry [its class] — exactly what
+// muxBound(group, member, approach, cfg) returns, because neither closed
+// form reads anything of the member beyond its class.
+type muxTable struct {
+	d   [traffic.NumPriorities]simtime.Duration
+	err [traffic.NumPriorities]error
+}
+
+// table evaluates the closed forms for the summed group: FCFS once, or
+// each priority class that has a member once.
+func (s *classSums) table(approach Approach, cfg Config) muxTable {
+	var t muxTable
+	if approach == FCFS {
+		b, r := s.total()
+		d, err := fcfsBound(b, r, cfg)
+		for q := range t.d {
+			t.d[q], t.err[q] = d, err
+		}
+		return t
+	}
+	for q := traffic.P0; q < traffic.NumPriorities; q++ {
+		if s.n[q] > 0 {
+			t.d[q], t.err[q] = s.priorityBound(q, cfg)
+		}
+	}
+	return t
 }
 
 // FCFSBoundNC computes the approach-1 bound through the generic network
@@ -276,11 +351,22 @@ func tokenBucketOf(f FlowSpec) netcalc.Curve {
 // multiplexer fed by specs — the dimensioning that prevents the frame loss
 // the paper warns about ("messages can be lost if buffers overflow").
 func BacklogBound(specs []FlowSpec, cfg Config) (simtime.Size, error) {
-	agg := netcalc.Zero()
-	for _, f := range specs {
-		agg = agg.Add(tokenBucketOf(f))
-	}
-	beta := netcalc.RateLatency(float64(cfg.LinkRate.BitsPerSecond()), cfg.TTechno.Seconds())
+	return backlogBound(SumB(specs), SumR(specs), serviceCurve(cfg))
+}
+
+// serviceCurve returns the β_{C,T} rate-latency service of a multiplexer
+// of capacity C = cfg.LinkRate behind relaying latency T = cfg.TTechno.
+func serviceCurve(cfg Config) netcalc.Curve {
+	return netcalc.RateLatency(float64(cfg.LinkRate.BitsPerSecond()), cfg.TTechno.Seconds())
+}
+
+// backlogBound is BacklogBound over the group's sums: the aggregate of
+// token buckets is the one token bucket (Σbᵢ, Σrᵢ). It is the very curve
+// the pointwise Add chain over the members builds, because adding two
+// one-piece curves adds their bursts and slopes, and integer sums below
+// 2⁵³ are exact in float64.
+func backlogBound(sumB simtime.Size, sumR simtime.Rate, beta netcalc.Curve) (simtime.Size, error) {
+	agg := netcalc.TokenBucket(float64(sumB.Bits()), float64(sumR.BitsPerSecond()))
 	v, err := netcalc.VerticalDeviation(agg, beta)
 	if err != nil {
 		return 0, ErrUnstable

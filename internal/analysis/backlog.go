@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/simtime"
@@ -145,93 +144,47 @@ func swName(id int) string { return fmt.Sprintf("sw%d", id) }
 // the workload: every station uplink, every trunk in both directions,
 // every destination port. Per-trunk and per-station rate overrides are
 // honored (they decide per-edge stability), and the destination-edge
-// bounds coincide exactly with the historical PortBacklogs. Edge bounds
-// are reused through the process-wide analysis cache.
+// bounds coincide exactly with the historical PortBacklogs. The structure
+// is compiled into a Plan once and reused through the process-wide plan
+// table.
 func EdgeBacklogs(set *traffic.Set, cfg Config, tree *Tree) (*EdgeBacklogResult, error) {
-	return EdgeBacklogsCached(set, cfg, tree, DefaultCache())
+	if err := checkInputs(set, cfg); err != nil {
+		return nil, err
+	}
+	return edgeBacklogs(set, cfg, tree, defaultTable())
 }
 
-// EdgeBacklogsCached is EdgeBacklogs against an explicit cache (nil
-// caches nothing). Results are byte-identical for any cache state.
-func EdgeBacklogsCached(set *traffic.Set, cfg Config, tree *Tree, c *Cache) (*EdgeBacklogResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// PlaneEdgeBacklogs is EdgeBacklogs over every plane tree of a redundant
+// network: one table per tree, with the configuration and the workload
+// checked once. An error names its plane ("plane <p>: ..."); a failed
+// input check is reported against plane 0, the first one priced.
+func PlaneEdgeBacklogs(set *traffic.Set, cfg Config, trees []*Tree) ([]*EdgeBacklogResult, error) {
+	if len(trees) == 0 {
+		return nil, nil
 	}
-	if err := set.Validate(); err != nil {
-		return nil, err
+	if err := checkInputs(set, cfg); err != nil {
+		return nil, fmt.Errorf("plane 0: %w", err)
 	}
-	if tree == nil {
-		return nil, fmt.Errorf("analysis: nil tree")
+	out := make([]*EdgeBacklogResult, len(trees))
+	for p, tree := range trees {
+		r, err := edgeBacklogs(set, cfg, tree, defaultTable())
+		if err != nil {
+			return nil, fmt.Errorf("plane %d: %w", p, err)
+		}
+		out[p] = r
 	}
-	stations := set.Stations()
-	if err := tree.Validate(stations); err != nil {
-		return nil, err
-	}
-	specs := Specs(set, cfg)
+	return out, nil
+}
 
-	// Route every flow once; collect the flows crossing each directed
-	// trunk edge.
-	paths, err := c.flowPaths(tree, specs)
+// edgeBacklogs is EdgeBacklogs for inputs that passed checkInputs, with
+// plans from table t (nil compiles one for the call and keeps none).
+func edgeBacklogs(set *traffic.Set, cfg Config, tree *Tree, t *planTable) (*EdgeBacklogResult, error) {
+	if tree == nil {
+		return nil, errNilTree
+	}
+	p, err := t.plan(set, tree)
 	if err != nil {
 		return nil, err
 	}
-	trunkFlows := map[dirEdge][]FlowSpec{}
-	for i, f := range specs {
-		for _, e := range paths[i] {
-			trunkFlows[e] = append(trunkFlows[e], f)
-		}
-	}
-	bySource := groupBy(specs, func(f FlowSpec) string { return f.Msg.Source })
-	byDest := groupBy(specs, func(f FlowSpec) string { return f.Msg.Dest })
-
-	res := &EdgeBacklogResult{Cfg: cfg}
-	price := func(e EdgeBacklog, flows []FlowSpec, rate simtime.Rate, ttechno simtime.Duration) error {
-		edgeCfg := cfg
-		edgeCfg.LinkRate = rate
-		edgeCfg.TTechno = ttechno
-		for _, f := range flows {
-			e.Flows = append(e.Flows, f.Msg.Name)
-		}
-		b, err := c.backlogBound(flows, edgeCfg)
-		switch {
-		case errors.Is(err, ErrUnstable):
-			e.Unstable = true
-		case err != nil:
-			return fmt.Errorf("edge %s: %w", e.Key(), err)
-		default:
-			e.Bound = b
-		}
-		res.Edges = append(res.Edges, e)
-		return nil
-	}
-
-	// Station uplinks: the queue is fed directly by the shapers, no relay
-	// in front of it, so the service has zero latency (matching the source
-	// stage of the delay composition).
-	for _, st := range stations {
-		home := tree.StationSwitch[st]
-		e := EdgeBacklog{Kind: EdgeUplink, From: st, To: swName(home), Switch: home, Link: -1}
-		if err := price(e, bySource[st], tree.StationRate(st, cfg.LinkRate), 0); err != nil {
-			return nil, err
-		}
-	}
-	// Trunks, both directions per link, in link order.
-	for li, l := range tree.Links {
-		for _, d := range []dirEdge{{l[0], l[1]}, {l[1], l[0]}} {
-			e := EdgeBacklog{Kind: EdgeTrunk, From: swName(d.from), To: swName(d.to), Switch: d.from, Link: li}
-			if err := price(e, trunkFlows[d], tree.TrunkRate(li, cfg.LinkRate), cfg.TTechno); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Destination ports — the historical PortBacklogs pricing, per
-	// station, at the station's own access-link rate.
-	for _, st := range stations {
-		home := tree.StationSwitch[st]
-		e := EdgeBacklog{Kind: EdgeDest, From: swName(home), To: st, Switch: home, Link: -1}
-		if err := price(e, byDest[st], tree.StationRate(st, cfg.LinkRate), cfg.TTechno); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return p.backlogs(set, cfg, tree)
 }

@@ -1,328 +1,211 @@
 package analysis
 
 import (
-	"encoding/binary"
-	"maps"
-	"slices"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/simtime"
 	"repro/internal/traffic"
 )
 
-// This file makes whole-network analyses incremental across scenarios: a
-// Cache remembers the three results TreeEndToEnd and EdgeBacklogs derive
-// from a (sub-)network stage — multiplexer delay tables, per-edge backlog
-// bounds, and flow routings — keyed by everything the closed forms read
-// (flow B/R/priority lists, discipline, edge rate, relaying latency, tree
-// shape). Neighboring cells of a sweep grid differ in one rate or one
-// load level, so the stages they share hit the cache instead of being
-// re-derived, and a 10⁴-cell grid costs little more than its unique
-// suffixes (ROADMAP item 2).
+// This file keeps compiled Plans across calls. TreeEndToEnd and
+// EdgeBacklogs look the structure of their (set, tree) up in a plan
+// table: a hit skips routing, grouping and the topological sort and goes
+// straight to the numeric evaluation; a miss compiles the plan and keeps
+// it. The lookup key is a 64-bit hash of the structure, and every hit is
+// confirmed field by field (Plan.matches), so a hash collision costs a
+// recompilation, never a wrong result.
 //
-// Every cached value is a pure function of its key, computed by the very
-// same code the uncached path runs, so a hit returns bytes identical to a
-// recomputation — the sweep outputs are bit-identical with the cache on,
-// off, warm or cold, at any worker count. The equivalence harness in
-// internal/scenariogen asserts exactly that on every generated scenario.
+// Plans hold structure only, no numbers, so a grid of rates × loads keeps
+// one plan per (family, load) however many rates it sweeps, and results
+// are byte-identical whether the plan was compiled by this call, reused,
+// or compiled and dropped with the table disabled.
 //
-// The process-wide default cache is on by default and invisible to
-// callers: TreeEndToEnd and EdgeBacklogs use it via DefaultCache().
-// Callers wanting isolation (benchmarks, tests) pass their own NewCache()
-// to the *Cached variants, or disable the layer with SetCacheEnabled.
+// The process-wide table is on by default and invisible to callers.
+// SetCacheEnabled(false) makes every call compile its own plan and keep
+// none; ResetDefaultCache empties the table.
 
-// cacheCap bounds each table of a Cache; exceeding it resets that table
-// (a pure cache, so recomputation is always sound).
-const cacheCap = 1 << 18
+// planTableCap bounds the plans one table holds. Storing a plan into a
+// full table empties it first, so a long-running service fed an endless
+// stream of distinct structures holds at most this many.
+const planTableCap = 1024
 
 var cacheEnabled atomic.Bool
 
 func init() { cacheEnabled.Store(true) }
 
-// SetCacheEnabled turns the default analysis cache on or off process-wide
-// and returns the previous setting. Disabling only changes performance,
-// never results.
+// SetCacheEnabled turns the default plan table on or off process-wide and
+// returns the previous setting. Disabling only changes performance, never
+// results.
 func SetCacheEnabled(on bool) bool { return cacheEnabled.Swap(on) }
 
-// CacheEnabled reports whether the default analysis cache is consulted.
+// CacheEnabled reports whether the default plan table is consulted.
 func CacheEnabled() bool { return cacheEnabled.Load() }
 
-// Cache memoizes the stage results of whole-network analyses. A nil
-// *Cache is valid and caches nothing. Safe for concurrent use.
-type Cache struct {
-	mu      sync.Mutex
-	mux     map[string]*muxDelays
-	backlog map[string]backlogEntry
-	paths   map[string][][]dirEdge
-	hits    uint64
-	misses  uint64
+// planTable holds compiled plans keyed by structure hash. A nil
+// *planTable keeps nothing. Safe for concurrent use.
+type planTable struct {
+	limit        int
+	mu           sync.Mutex
+	plans        map[uint64]*Plan
+	groups       int // Σ Plan.groups over plans
+	edges        int // Σ Plan.edges over plans
+	hits, misses atomic.Uint64
 }
 
-// NewCache returns an empty, isolated analysis cache.
-func NewCache() *Cache { return &Cache{} }
+var defaultPlans = planTable{limit: planTableCap}
 
-var defaultCache Cache
-
-// DefaultCache returns the process-wide analysis cache, or nil when the
-// layer is disabled (SetCacheEnabled(false)).
-func DefaultCache() *Cache {
+// defaultTable returns the process-wide plan table, or nil when it is
+// disabled (SetCacheEnabled(false)).
+func defaultTable() *planTable {
 	if !cacheEnabled.Load() {
 		return nil
 	}
-	return &defaultCache
+	return &defaultPlans
 }
 
-// CacheStats is a snapshot of one cache's counters and table sizes.
+// CacheStats is a snapshot of the plan table's counters and size.
 type CacheStats struct {
-	// Hits and Misses count lookups across all three tables.
+	// Hits and Misses count plan lookups: a hit reuses a compiled plan, a
+	// miss compiles one.
 	Hits, Misses uint64
-	// MuxEntries, BacklogEntries and PathEntries are the table sizes.
-	MuxEntries, BacklogEntries, PathEntries int
+	// PathEntries is the number of plans held (each holds the routes of
+	// its structure).
+	PathEntries int
+	// MuxEntries is the number of multiplexer groups those plans hold:
+	// every non-empty source and destination group and every crossed
+	// trunk.
+	MuxEntries int
+	// BacklogEntries is the number of directed edges those plans price:
+	// every station uplink and destination port, every trunk direction.
+	BacklogEntries int
 }
 
-// Stats returns a snapshot of the cache's counters.
-func (c *Cache) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (t *planTable) stats() CacheStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return CacheStats{
-		Hits:           c.hits,
-		Misses:         c.misses,
-		MuxEntries:     len(c.mux),
-		BacklogEntries: len(c.backlog),
-		PathEntries:    len(c.paths),
+		Hits:           t.hits.Load(),
+		Misses:         t.misses.Load(),
+		PathEntries:    len(t.plans),
+		MuxEntries:     t.groups,
+		BacklogEntries: t.edges,
 	}
 }
 
-// Reset empties the cache and its counters.
-func (c *Cache) Reset() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mux, c.backlog, c.paths = nil, nil, nil
-	c.hits, c.misses = 0, 0
+func (t *planTable) reset() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.plans, t.groups, t.edges = nil, 0, 0
+	t.hits.Store(0)
+	t.misses.Store(0)
 }
 
-// DefaultCacheStats returns the process-wide cache's counters.
-func DefaultCacheStats() CacheStats { return defaultCache.Stats() }
+// DefaultCacheStats returns the process-wide plan table's counters.
+func DefaultCacheStats() CacheStats { return defaultPlans.stats() }
 
-// ResetDefaultCache empties the process-wide cache (cold-cache state for
-// benchmarks).
-func ResetDefaultCache() { defaultCache.Reset() }
+// ResetDefaultCache empties the process-wide plan table and zeroes its
+// counters (cold state for benchmarks).
+func ResetDefaultCache() { defaultPlans.reset() }
 
-// muxDelays is the delay table of one multiplexer: the bound of every
-// member of one flow group under one discipline and edge configuration.
-// FCFS has one bound for the whole group; priority has one per class, so
-// the table costs at most four closed-form evaluations where the per-flow
-// formulation cost one per member.
-type muxDelays struct {
-	approach Approach
-	fcfs     simtime.Duration
-	fcfsErr  error
-	class    [traffic.NumPriorities]simtime.Duration
-	classErr [traffic.NumPriorities]error
-}
-
-// delayFor returns the table's bound for one member flow — exactly what
-// muxBound(group, member, approach, cfg) returns, because neither closed
-// form reads anything of the member beyond its priority class.
-func (t *muxDelays) delayFor(member FlowSpec) (simtime.Duration, error) {
-	if t.approach == FCFS {
-		return t.fcfs, t.fcfsErr
-	}
-	p := member.Msg.Priority
-	return t.class[p], t.classErr[p]
-}
-
-// computeMuxDelays evaluates the closed forms for one group: FCFS once,
-// or each priority class that has a member once.
-func computeMuxDelays(specs []FlowSpec, approach Approach, cfg Config) *muxDelays {
-	t := &muxDelays{approach: approach}
-	if approach == FCFS {
-		t.fcfs, t.fcfsErr = FCFSBound(specs, cfg)
-		return t
-	}
-	var present [traffic.NumPriorities]bool
-	for _, f := range specs {
-		present[f.Msg.Priority] = true
-	}
-	for p := traffic.P0; p < traffic.NumPriorities; p++ {
-		if present[p] {
-			t.class[p], t.classErr[p] = PriorityBound(specs, p, cfg)
-		}
-	}
-	return t
-}
-
-// backlogEntry is a memoized BacklogBound outcome (its only error is
-// ErrUnstable, so a bool carries it).
-type backlogEntry struct {
-	bound    simtime.Size
-	unstable bool
-}
-
-// appendStr appends a length-prefixed string to a key buffer.
-func appendStr(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// muxCacheKey encodes everything FCFSBound and PriorityBound read: the
-// discipline, the edge's rate and relaying latency, and each member's
-// (bᵢ, rᵢ, priority) in group order.
-func muxCacheKey(specs []FlowSpec, approach Approach, cfg Config) string {
-	b := make([]byte, 0, 17+len(specs)*17)
-	b = append(b, byte(approach))
-	b = binary.LittleEndian.AppendUint64(b, uint64(cfg.LinkRate))
-	b = binary.LittleEndian.AppendUint64(b, uint64(cfg.TTechno))
-	for _, f := range specs {
-		b = binary.LittleEndian.AppendUint64(b, uint64(f.B))
-		b = binary.LittleEndian.AppendUint64(b, uint64(f.R))
-		b = append(b, byte(f.Msg.Priority))
-	}
-	return string(b)
-}
-
-// backlogCacheKey encodes everything BacklogBound reads: the edge's rate
-// and latency and each member's (bᵢ, rᵢ).
-func backlogCacheKey(specs []FlowSpec, cfg Config) string {
-	b := make([]byte, 0, 16+len(specs)*16)
-	b = binary.LittleEndian.AppendUint64(b, uint64(cfg.LinkRate))
-	b = binary.LittleEndian.AppendUint64(b, uint64(cfg.TTechno))
-	for _, f := range specs {
-		b = binary.LittleEndian.AppendUint64(b, uint64(f.B))
-		b = binary.LittleEndian.AppendUint64(b, uint64(f.R))
-	}
-	return string(b)
-}
-
-// routeCacheKey encodes everything flow routing reads: the tree shape
-// (switch count, links, station placement) and each flow's endpoints.
-func routeCacheKey(tree *Tree, specs []FlowSpec) string {
-	b := make([]byte, 0, 64+len(specs)*32)
-	b = binary.LittleEndian.AppendUint64(b, uint64(tree.Switches))
-	for _, l := range tree.Links {
-		b = binary.LittleEndian.AppendUint64(b, uint64(l[0]))
-		b = binary.LittleEndian.AppendUint64(b, uint64(l[1]))
-	}
-	for _, s := range slices.Sorted(maps.Keys(tree.StationSwitch)) {
-		b = appendStr(b, s)
-		b = binary.LittleEndian.AppendUint64(b, uint64(tree.StationSwitch[s]))
-	}
-	for _, f := range specs {
-		b = appendStr(b, f.Msg.Source)
-		b = appendStr(b, f.Msg.Dest)
-	}
-	return string(b)
-}
-
-// muxDelays returns the delay table of one flow group, from the cache
-// when present.
-func (c *Cache) muxDelays(specs []FlowSpec, approach Approach, cfg Config) *muxDelays {
-	if c == nil {
-		return computeMuxDelays(specs, approach, cfg)
-	}
-	key := muxCacheKey(specs, approach, cfg)
-	c.mu.Lock()
-	if t, ok := c.mux[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return t
-	}
-	c.misses++
-	c.mu.Unlock()
-	t := computeMuxDelays(specs, approach, cfg)
-	c.mu.Lock()
-	if len(c.mux) >= cacheCap {
-		c.mux = nil
-	}
-	if c.mux == nil {
-		c.mux = map[string]*muxDelays{}
-	}
-	c.mux[key] = t
-	c.mu.Unlock()
-	return t
-}
-
-// backlogBound returns BacklogBound(flows, cfg), from the cache when
-// present.
-func (c *Cache) backlogBound(flows []FlowSpec, cfg Config) (simtime.Size, error) {
-	if c == nil {
-		return BacklogBound(flows, cfg)
-	}
-	key := backlogCacheKey(flows, cfg)
-	c.mu.Lock()
-	if e, ok := c.backlog[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		if e.unstable {
-			return 0, ErrUnstable
-		}
-		return e.bound, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-	b, err := BacklogBound(flows, cfg)
-	c.mu.Lock()
-	if len(c.backlog) >= cacheCap {
-		c.backlog = nil
-	}
-	if c.backlog == nil {
-		c.backlog = map[string]backlogEntry{}
-	}
-	c.backlog[key] = backlogEntry{bound: b, unstable: err != nil}
-	c.mu.Unlock()
-	return b, err
-}
-
-// routeFlows computes each flow's directed trunk-edge sequence along its
-// unique tree path (empty for co-located endpoints).
-func routeFlows(tree *Tree, specs []FlowSpec) ([][]dirEdge, error) {
-	paths := make([][]dirEdge, len(specs))
-	for i, f := range specs {
-		sp, err := tree.SwitchPath(f.Msg.Source, f.Msg.Dest)
-		if err != nil {
+// plan returns the plan for the structure of (set, tree), validating the
+// tree against the set's stations: from the table when it holds one,
+// compiled (and kept, unless t is nil) otherwise.
+func (t *planTable) plan(set *traffic.Set, tree *Tree) (*Plan, error) {
+	if t == nil {
+		stations := set.Stations()
+		if err := tree.Validate(stations); err != nil {
 			return nil, err
 		}
-		for h := 0; h+1 < len(sp); h++ {
-			paths[i] = append(paths[i], dirEdge{sp[h], sp[h+1]})
+		return compilePlan(set, tree, stations)
+	}
+	key := structureHash(set, tree)
+	t.mu.Lock()
+	p := t.plans[key]
+	t.mu.Unlock()
+	if p != nil && p.matches(set, tree) {
+		if err := tree.Validate(p.stations); err != nil {
+			return nil, err
 		}
-	}
-	return paths, nil
-}
-
-// flowPaths returns routeFlows(tree, specs), from the cache when present.
-// The returned slices are shared across callers and must not be mutated.
-func (c *Cache) flowPaths(tree *Tree, specs []FlowSpec) ([][]dirEdge, error) {
-	if c == nil {
-		return routeFlows(tree, specs)
-	}
-	key := routeCacheKey(tree, specs)
-	c.mu.Lock()
-	if p, ok := c.paths[key]; ok {
-		c.hits++
-		c.mu.Unlock()
+		t.hits.Add(1)
 		return p, nil
 	}
-	c.misses++
-	c.mu.Unlock()
-	p, err := routeFlows(tree, specs)
+	stations := set.Stations()
+	if err := tree.Validate(stations); err != nil {
+		return nil, err
+	}
+	// Compiling under the lock makes concurrent misses on one structure
+	// compile it once.
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if p := t.plans[key]; p != nil && p.matches(set, tree) {
+		t.hits.Add(1)
+		return p, nil
+	}
+	p, err := compilePlan(set, tree, stations)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if len(c.paths) >= cacheCap {
-		c.paths = nil
-	}
-	if c.paths == nil {
-		c.paths = map[string][][]dirEdge{}
-	}
-	c.paths[key] = p
-	c.mu.Unlock()
+	t.misses.Add(1)
+	t.store(key, p)
 	return p, nil
+}
+
+// store keeps p under key, replacing a colliding plan or emptying a full
+// table first. The caller holds t.mu.
+func (t *planTable) store(key uint64, p *Plan) {
+	if old := t.plans[key]; old != nil {
+		t.groups -= old.groups()
+		t.edges -= old.edges()
+	} else if len(t.plans) >= t.limit {
+		t.plans, t.groups, t.edges = nil, 0, 0
+	}
+	if t.plans == nil {
+		t.plans = make(map[uint64]*Plan)
+	}
+	t.plans[key] = p
+	t.groups += p.groups()
+	t.edges += p.edges()
+}
+
+// FNV-1a parameters, the mixing of structureHash.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func hashWord(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= w & 0xff
+		h *= fnvPrime
+		w >>= 8
+	}
+	return h
+}
+
+func hashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return hashWord(h, uint64(len(s)))
+}
+
+// structureHash hashes everything a plan is compiled from: the switch
+// count, the links in order, every station placement, and each flow's
+// endpoints in flow order.
+func structureHash(set *traffic.Set, tree *Tree) uint64 {
+	h := hashWord(fnvOffset, uint64(tree.Switches))
+	for _, l := range tree.Links {
+		h = hashWord(hashWord(h, uint64(l[0])), uint64(l[1]))
+	}
+	var placement uint64
+	//rtlint:unordered a sum of per-entry hashes does not depend on the order
+	for s, sw := range tree.StationSwitch {
+		placement += hashWord(hashString(fnvOffset, s), uint64(sw))
+	}
+	h = hashWord(h, placement)
+	for _, m := range set.Messages {
+		h = hashString(hashString(h, m.Source), m.Dest)
+	}
+	return h
 }

@@ -187,8 +187,13 @@ func EndToEnd(set *traffic.Set, approach Approach, cfg Config) (*Result, error) 
 // inflate applies the delay-jitter output transformation: a (b, r) flow
 // delayed by at most d becomes (b + r·d, r)-constrained.
 func inflate(f FlowSpec, d simtime.Duration) FlowSpec {
-	extra := simtime.Size(math.Ceil(float64(f.R.BitsPerSecond()) * d.Seconds()))
-	return FlowSpec{Msg: f.Msg, B: f.B + extra, R: f.R}
+	return FlowSpec{Msg: f.Msg, B: inflateBurst(f.B, f.R, d), R: f.R}
+}
+
+// inflateBurst returns the burst b + r·d (rounded up) of a (b, r) flow
+// delayed by at most d.
+func inflateBurst(b simtime.Size, r simtime.Rate, d simtime.Duration) simtime.Size {
+	return b + simtime.Size(math.Ceil(float64(r.BitsPerSecond())*d.Seconds()))
 }
 
 // add appends a PathBound and maintains the aggregates.

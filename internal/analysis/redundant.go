@@ -149,12 +149,19 @@ func planeResults(set *traffic.Set, approach Approach, cfg Config, planes []Plan
 		return nil, nil, nil, fmt.Errorf("analysis: no planes to compose")
 	}
 	results = make([]*Result, len(planes))
+	// The inputs are checked once; a failure surfaces on the first
+	// surviving plane, as a per-plane TreeEndToEnd would report it.
+	inputErr := checkInputs(set, cfg)
 	for p, pl := range planes {
 		if pl.Failed {
 			continue
 		}
 		surviving = append(surviving, p)
-		r, err := TreeEndToEnd(set, approach, cfg, pl.Tree)
+		var r *Result
+		err := inputErr
+		if err == nil {
+			r, err = treeEndToEnd(set, approach, cfg, pl.Tree, defaultTable())
+		}
 		if err != nil {
 			if errors.Is(err, ErrUnstable) {
 				continue

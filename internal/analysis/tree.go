@@ -2,8 +2,8 @@ package analysis
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/simtime"
@@ -115,31 +115,28 @@ func (t *Tree) Validate(stations []string) error {
 	if len(t.Links) != t.Switches-1 {
 		return fmt.Errorf("analysis: %d links for %d switches (want %d)", len(t.Links), t.Switches, t.Switches-1)
 	}
-	adj := make([][]int, t.Switches)
+	// Connectivity: union the links' endpoints, then every switch must
+	// share switch 0's component.
+	comp := make([]int, t.Switches)
+	for i := range comp {
+		comp[i] = i
+	}
+	root := func(i int) int {
+		for comp[i] != i {
+			comp[i] = comp[comp[i]]
+			i = comp[i]
+		}
+		return i
+	}
 	for _, l := range t.Links {
 		a, b := l[0], l[1]
 		if a < 0 || a >= t.Switches || b < 0 || b >= t.Switches || a == b {
 			return fmt.Errorf("analysis: invalid link %v", l)
 		}
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
+		comp[root(a)] = root(b)
 	}
-	// Connectivity via BFS from 0.
-	seen := make([]bool, t.Switches)
-	queue := []int{0}
-	seen[0] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	for i, ok := range seen {
-		if !ok {
+	for i := range comp {
+		if root(i) != root(0) {
 			return fmt.Errorf("analysis: switch %d unreachable", i)
 		}
 	}
@@ -156,10 +153,8 @@ func (t *Tree) Validate(stations []string) error {
 	// ("nav->sw0", "sw0->sw1"); a station sharing that namespace would
 	// collide with a switch in every key-addressed table (backlog bounds,
 	// observed marks, queue capacities), so it is rejected up front.
-	for _, s := range slices.Sorted(maps.Keys(t.StationSwitch)) {
-		if isSwitchName(s) {
-			return fmt.Errorf("analysis: station name %q collides with the switch namespace (sw<number>)", s)
-		}
+	if s, ok := firstKey(t.StationSwitch, func(s string, _ int) bool { return isSwitchName(s) }); ok {
+		return fmt.Errorf("analysis: station name %q collides with the switch namespace (sw<number>)", s)
 	}
 	if len(t.TrunkRates) > len(t.Links) {
 		return fmt.Errorf("analysis: %d trunk rates for %d links", len(t.TrunkRates), len(t.Links))
@@ -177,25 +172,38 @@ func (t *Tree) Validate(stations []string) error {
 			return fmt.Errorf("analysis: negative propagation delay %v on trunk %v", p, t.Links[i])
 		}
 	}
-	for _, s := range slices.Sorted(maps.Keys(t.StationRates)) {
-		r := t.StationRates[s]
-		if _, ok := t.StationSwitch[s]; !ok {
+	if s, ok := firstKey(t.StationRates, func(s string, r simtime.Rate) bool { return !t.placed(s) || r < 0 }); ok {
+		if !t.placed(s) {
 			return fmt.Errorf("analysis: rate override for unplaced station %q", s)
 		}
-		if r < 0 {
-			return fmt.Errorf("analysis: negative rate %v for station %q", r, s)
-		}
+		return fmt.Errorf("analysis: negative rate %v for station %q", t.StationRates[s], s)
 	}
-	for _, s := range slices.Sorted(maps.Keys(t.StationProps)) {
-		p := t.StationProps[s]
-		if _, ok := t.StationSwitch[s]; !ok {
+	if s, ok := firstKey(t.StationProps, func(s string, p simtime.Duration) bool { return !t.placed(s) || p < 0 }); ok {
+		if !t.placed(s) {
 			return fmt.Errorf("analysis: propagation override for unplaced station %q", s)
 		}
-		if p < 0 {
-			return fmt.Errorf("analysis: negative propagation delay %v for station %q", p, s)
-		}
+		return fmt.Errorf("analysis: negative propagation delay %v for station %q", t.StationProps[s], s)
 	}
 	return nil
+}
+
+// placed reports whether a station sits on some switch.
+func (t *Tree) placed(s string) bool {
+	_, ok := t.StationSwitch[s]
+	return ok
+}
+
+// firstKey returns the smallest key of m whose entry is bad — the entry a
+// scan in sorted key order would stop at — without sorting the keys.
+func firstKey[V any](m map[string]V, bad func(string, V) bool) (string, bool) {
+	first, found := "", false
+	//rtlint:unordered argmin over a total order on the keys
+	for k, v := range m {
+		if bad(k, v) && (!found || k < first) {
+			first, found = k, true
+		}
+	}
+	return first, found
 }
 
 // isSwitchName reports whether a name lies in the reserved "sw<number>"
@@ -340,154 +348,37 @@ func trunkTopoOrder(paths [][]dirEdge) ([]dirEdge, error) {
 	return order, nil
 }
 
-// TreeEndToEnd bounds every connection over the tree topology, reusing
-// shared stage results through the process-wide analysis cache.
+// TreeEndToEnd bounds every connection over the tree topology. The
+// structure of (set, tree) is compiled into a Plan once and reused
+// through the process-wide plan table.
 func TreeEndToEnd(set *traffic.Set, approach Approach, cfg Config, tree *Tree) (*Result, error) {
-	return TreeEndToEndCached(set, approach, cfg, tree, DefaultCache())
+	if err := checkInputs(set, cfg); err != nil {
+		return nil, err
+	}
+	return treeEndToEnd(set, approach, cfg, tree, defaultTable())
 }
 
-// TreeEndToEndCached is TreeEndToEnd against an explicit cache (nil
-// caches nothing). Results are byte-identical for any cache state.
-func TreeEndToEndCached(set *traffic.Set, approach Approach, cfg Config, tree *Tree, c *Cache) (*Result, error) {
+// checkInputs validates the configuration and the workload — the checks
+// every public analysis runs once per call, however many planes it
+// prices.
+func checkInputs(set *traffic.Set, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := set.Validate(); err != nil {
-		return nil, err
-	}
-	if tree == nil {
-		return nil, fmt.Errorf("analysis: nil tree")
-	}
-	if err := tree.Validate(set.Stations()); err != nil {
-		return nil, err
-	}
-	specs := Specs(set, cfg)
-
-	// Per-flow directed edge sequences, and the undirected link index of
-	// every edge (for the per-trunk rate and propagation overrides).
-	linkIdx := map[dirEdge]int{}
-	for i, l := range tree.Links {
-		linkIdx[dirEdge{l[0], l[1]}] = i
-		linkIdx[dirEdge{l[1], l[0]}] = i
-	}
-	paths, err := c.flowPaths(tree, specs)
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 1: source uplinks, each at the station's access-link rate.
-	// Propagation delays are constant shifts: they accumulate into fixed[i]
-	// (added to bound and floor alike) without inflating any arrival curve.
-	// One delay table per station covers all its flows.
-	bySource := groupBy(specs, func(f FlowSpec) string { return f.Msg.Source })
-	srcTables := make(map[string]*muxDelays, len(bySource))
-	stage1 := make([]simtime.Duration, len(specs))
-	fixed := make([]simtime.Duration, len(specs))
-	current := make([]FlowSpec, len(specs)) // spec after the last processed stage
-	for i, f := range specs {
-		tbl := srcTables[f.Msg.Source]
-		if tbl == nil {
-			srcCfg := cfg
-			srcCfg.TTechno = 0
-			srcCfg.LinkRate = tree.StationRate(f.Msg.Source, cfg.LinkRate)
-			tbl = c.muxDelays(bySource[f.Msg.Source], approach, srcCfg)
-			srcTables[f.Msg.Source] = tbl
-		}
-		d, err := tbl.delayFor(f)
-		if err != nil {
-			return nil, fmt.Errorf("station %s: %w", f.Msg.Source, err)
-		}
-		stage1[i] = d
-		fixed[i] = tree.StationProp(f.Msg.Source)
-		current[i] = inflate(f, d)
-	}
-
-	// Topological order of directed edges under "crossed earlier by some
-	// flow", and the flows crossing each edge.
-	edgeFlows := map[dirEdge][]int{}
-	for i, p := range paths {
-		for _, e := range p {
-			edgeFlows[e] = append(edgeFlows[e], i)
-		}
-	}
-	order, err := trunkTopoOrder(paths)
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 2: trunk multiplexers in dependency order, each at its trunk's
-	// capacity.
-	trunkDelay := make([]simtime.Duration, len(specs)) // accumulated per flow
-	for _, e := range order {
-		li, ok := linkIdx[e]
-		if !ok {
-			return nil, fmt.Errorf("analysis: no link for trunk %d→%d", e.from, e.to)
-		}
-		edgeCfg := cfg
-		edgeCfg.LinkRate = tree.TrunkRate(li, cfg.LinkRate)
-		flows := edgeFlows[e]
-		agg := make([]FlowSpec, 0, len(flows))
-		for _, i := range flows {
-			agg = append(agg, current[i])
-		}
-		tbl := c.muxDelays(agg, approach, edgeCfg)
-		// Each (flow, edge) bound is computed once and reused by the
-		// inflation loop below. (An earlier revision called the bound a
-		// second time with identical inputs to inflate — a silent 2× on
-		// the trunk stage and a drift hazard had the two calls diverged.)
-		delays := make([]simtime.Duration, len(flows))
-		for k, i := range flows {
-			d, err := tbl.delayFor(current[i])
-			if err != nil {
-				return nil, fmt.Errorf("trunk %d→%d: %w", e.from, e.to, err)
-			}
-			delays[k] = d
-			trunkDelay[i] += d
-			fixed[i] += tree.TrunkProp(li)
-		}
-		// Inflate after all bounds at this edge are computed (every flow
-		// sees its peers' entering curves, not their exits).
-		for k, i := range flows {
-			current[i] = inflate(current[i], delays[k])
-		}
-	}
-
-	// Stage 3: destination ports, serializing onto the destination
-	// station's access link. One delay table per destination port.
-	byDest := groupBy(current, func(f FlowSpec) string { return f.Msg.Dest })
-	destTables := make(map[string]*muxDelays, len(byDest))
-	res := &Result{Approach: approach, Cfg: cfg}
-	for i, f := range specs {
-		destCfg := cfg
-		destCfg.LinkRate = tree.StationRate(f.Msg.Dest, cfg.LinkRate)
-		tbl := destTables[f.Msg.Dest]
-		if tbl == nil {
-			tbl = c.muxDelays(byDest[f.Msg.Dest], approach, destCfg)
-			destTables[f.Msg.Dest] = tbl
-		}
-		d, err := tbl.delayFor(current[i])
-		if err != nil {
-			return nil, fmt.Errorf("port %s: %w", f.Msg.Dest, err)
-		}
-		fixed[i] += tree.StationProp(f.Msg.Dest)
-		hops := len(paths[i]) + 2 // uplink + trunks + dest port
-		// The floor crosses each hop's own serialization rate.
-		floor := simtime.TransmissionTime(f.B, tree.StationRate(f.Msg.Source, cfg.LinkRate)) +
-			simtime.TransmissionTime(f.B, destCfg.LinkRate) +
-			simtime.Duration(hops-1)*cfg.TTechno + fixed[i]
-		for _, e := range paths[i] {
-			floor += simtime.TransmissionTime(f.B, tree.TrunkRate(linkIdx[e], cfg.LinkRate))
-		}
-		pb := PathBound{
-			Spec:        f,
-			SourceDelay: stage1[i],
-			PortDelay:   trunkDelay[i] + d,
-			EndToEnd:    stage1[i] + trunkDelay[i] + d + fixed[i],
-			Floor:       floor,
-		}
-		pb.Jitter = pb.EndToEnd - pb.Floor
-		pb.Met = pb.EndToEnd <= simtime.Duration(f.Msg.Deadline)
-		res.add(pb)
-	}
-	return res, nil
+	return set.Validate()
 }
+
+// treeEndToEnd is TreeEndToEnd for inputs that passed checkInputs, with
+// plans from table t (nil compiles one for the call and keeps none).
+func treeEndToEnd(set *traffic.Set, approach Approach, cfg Config, tree *Tree, t *planTable) (*Result, error) {
+	if tree == nil {
+		return nil, errNilTree
+	}
+	p, err := t.plan(set, tree)
+	if err != nil {
+		return nil, err
+	}
+	return p.endToEnd(set, approach, cfg, tree)
+}
+
+var errNilTree = errors.New("analysis: nil tree")

@@ -1,10 +1,8 @@
 package analysis
 
 import (
-	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/simtime"
@@ -17,167 +15,6 @@ import (
 // byte-identity of the group-level delay tables against the historical
 // per-flow formulation.
 
-// treeEndToEndReference is a verbatim re-implementation of the historical
-// TreeEndToEnd: per-flow muxBound calls (evaluated twice per flow and
-// trunk edge, as the old trunk stage did) and no caching. It is the
-// byte-identity reference the refactored implementation must reproduce on
-// topologies below the old sort key's 1000-switch collision threshold.
-func treeEndToEndReference(set *traffic.Set, approach Approach, cfg Config, tree *Tree) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := set.Validate(); err != nil {
-		return nil, err
-	}
-	if err := tree.Validate(set.Stations()); err != nil {
-		return nil, err
-	}
-	specs := Specs(set, cfg)
-
-	linkIdx := map[dirEdge]int{}
-	for i, l := range tree.Links {
-		linkIdx[dirEdge{l[0], l[1]}] = i
-		linkIdx[dirEdge{l[1], l[0]}] = i
-	}
-	paths := make([][]dirEdge, len(specs))
-	for i, f := range specs {
-		sp, err := tree.SwitchPath(f.Msg.Source, f.Msg.Dest)
-		if err != nil {
-			return nil, err
-		}
-		for h := 0; h+1 < len(sp); h++ {
-			paths[i] = append(paths[i], dirEdge{sp[h], sp[h+1]})
-		}
-	}
-
-	bySource := groupBy(specs, func(f FlowSpec) string { return f.Msg.Source })
-	stage1 := make([]simtime.Duration, len(specs))
-	fixed := make([]simtime.Duration, len(specs))
-	current := make([]FlowSpec, len(specs))
-	for i, f := range specs {
-		srcCfg := cfg
-		srcCfg.TTechno = 0
-		srcCfg.LinkRate = tree.StationRate(f.Msg.Source, cfg.LinkRate)
-		d, err := muxBound(bySource[f.Msg.Source], f, approach, srcCfg)
-		if err != nil {
-			return nil, fmt.Errorf("station %s: %w", f.Msg.Source, err)
-		}
-		stage1[i] = d
-		fixed[i] = tree.StationProp(f.Msg.Source)
-		current[i] = inflate(f, d)
-	}
-
-	edgeFlows := map[dirEdge][]int{}
-	deps := map[dirEdge]map[dirEdge]bool{}
-	indeg := map[dirEdge]int{}
-	for i, p := range paths {
-		for h, e := range p {
-			if _, ok := indeg[e]; !ok {
-				indeg[e] = 0
-			}
-			edgeFlows[e] = append(edgeFlows[e], i)
-			if h > 0 {
-				prev := p[h-1]
-				if deps[prev] == nil {
-					deps[prev] = map[dirEdge]bool{}
-				}
-				if !deps[prev][e] {
-					deps[prev][e] = true
-					indeg[e]++
-				}
-			}
-		}
-	}
-	var order []dirEdge
-	var ready []dirEdge
-	//rtlint:sorted-after
-	for e, d := range indeg {
-		if d == 0 {
-			ready = append(ready, e)
-		}
-	}
-	sort.Slice(ready, func(a, b int) bool {
-		return ready[a].from*1000+ready[a].to < ready[b].from*1000+ready[b].to
-	})
-	for len(ready) > 0 {
-		e := ready[0]
-		ready = ready[1:]
-		order = append(order, e)
-		//rtlint:sorted-after
-		for next := range deps[e] {
-			indeg[next]--
-			if indeg[next] == 0 {
-				ready = append(ready, next)
-			}
-		}
-		sort.Slice(ready, func(a, b int) bool {
-			return ready[a].from*1000+ready[a].to < ready[b].from*1000+ready[b].to
-		})
-	}
-	if len(order) != len(indeg) {
-		return nil, fmt.Errorf("analysis: cyclic trunk dependencies — topology is not a tree")
-	}
-
-	trunkDelay := make([]simtime.Duration, len(specs))
-	for _, e := range order {
-		li := linkIdx[e]
-		edgeCfg := cfg
-		edgeCfg.LinkRate = tree.TrunkRate(li, cfg.LinkRate)
-		flows := edgeFlows[e]
-		agg := make([]FlowSpec, 0, len(flows))
-		for _, i := range flows {
-			agg = append(agg, current[i])
-		}
-		for _, i := range flows {
-			d, err := muxBound(agg, current[i], approach, edgeCfg)
-			if err != nil {
-				return nil, fmt.Errorf("trunk %d→%d: %w", e.from, e.to, err)
-			}
-			trunkDelay[i] += d
-			fixed[i] += tree.TrunkProp(li)
-		}
-		// The historical double evaluation: the inflation loop recomputed
-		// every bound instead of reusing the accumulation loop's values.
-		for _, i := range flows {
-			d, err := muxBound(agg, current[i], approach, edgeCfg)
-			if err != nil {
-				return nil, err
-			}
-			current[i] = inflate(current[i], d)
-		}
-	}
-
-	byDest := groupBy(current, func(f FlowSpec) string { return f.Msg.Dest })
-	res := &Result{Approach: approach, Cfg: cfg}
-	for i, f := range specs {
-		destCfg := cfg
-		destCfg.LinkRate = tree.StationRate(f.Msg.Dest, cfg.LinkRate)
-		d, err := muxBound(byDest[f.Msg.Dest], current[i], approach, destCfg)
-		if err != nil {
-			return nil, fmt.Errorf("port %s: %w", f.Msg.Dest, err)
-		}
-		fixed[i] += tree.StationProp(f.Msg.Dest)
-		hops := len(paths[i]) + 2
-		floor := simtime.TransmissionTime(f.B, tree.StationRate(f.Msg.Source, cfg.LinkRate)) +
-			simtime.TransmissionTime(f.B, destCfg.LinkRate) +
-			simtime.Duration(hops-1)*cfg.TTechno + fixed[i]
-		for _, e := range paths[i] {
-			floor += simtime.TransmissionTime(f.B, tree.TrunkRate(linkIdx[e], cfg.LinkRate))
-		}
-		pb := PathBound{
-			Spec:        f,
-			SourceDelay: stage1[i],
-			PortDelay:   trunkDelay[i] + d,
-			EndToEnd:    stage1[i] + trunkDelay[i] + d + fixed[i],
-			Floor:       floor,
-		}
-		pb.Jitter = pb.EndToEnd - pb.Floor
-		pb.Met = pb.EndToEnd <= simtime.Duration(f.Msg.Deadline)
-		res.add(pb)
-	}
-	return res, nil
-}
-
 // chainTree spreads the set's stations over a 4-switch chain 0-1-2-3, so
 // flows cross up to three trunk multiplexers in sequence.
 func chainTree(set *traffic.Set) *Tree {
@@ -188,43 +25,56 @@ func chainTree(set *traffic.Set) *Tree {
 	return t
 }
 
-// TestTreeEndToEndMatchesReference pins the trunk-stage bugfix: storing
-// the accumulation loop's delays and reusing them for inflation (instead
-// of recomputing every bound) must leave every PathBound byte-identical
-// to the historical double-evaluating formulation, under both disciplines
-// and with heterogeneous trunk rates, with and without a cache.
+// TestTreeEndToEndMatchesReference pins plan evaluation to the
+// historical per-flow, double-evaluating formulation (the oracle
+// ReferenceTreeEndToEnd): every PathBound, and every error text, must be
+// byte-identical under both disciplines, at two link rates, with
+// homogeneous, heterogeneous and starved per-link overrides, and with the
+// plan table cold, warm and disabled.
 func TestTreeEndToEndMatchesReference(t *testing.T) {
 	set := traffic.RealCase()
-	cfg := DefaultConfig()
 	homo := chainTree(set)
 	hetero := chainTree(set)
 	hetero.TrunkRates = []simtime.Rate{100 * simtime.Mbps, 0, 25 * simtime.Mbps}
 	hetero.TrunkProps = []simtime.Duration{simtime.Microsecond, 0, 3 * simtime.Microsecond}
+	hetero.StationRates = map[string]simtime.Rate{set.Messages[0].Dest: 100 * simtime.Mbps}
+	hetero.StationProps = map[string]simtime.Duration{set.Messages[0].Source: 2 * simtime.Microsecond}
+	starved := chainTree(set)
+	starved.TrunkRates = []simtime.Rate{0, simtime.Mbps / 4}
 
-	for _, tree := range []*Tree{homo, hetero} {
-		for _, approach := range []Approach{FCFS, Priority} {
-			want, err := treeEndToEndReference(set, approach, cfg, tree)
-			if err != nil {
-				t.Fatal(err)
+	stable := 0
+	for _, tree := range []*Tree{homo, hetero, starved} {
+		for _, rate := range []simtime.Rate{10 * simtime.Mbps, 100 * simtime.Mbps} {
+			cfg := DefaultConfig()
+			cfg.LinkRate = rate
+			table := &planTable{limit: planTableCap}
+			for _, approach := range []Approach{FCFS, Priority} {
+				want, wantErr := ReferenceTreeEndToEnd(set, approach, cfg, tree)
+				if wantErr == nil {
+					stable++
+				}
+				for _, state := range []struct {
+					name string
+					t    *planTable
+				}{{"cold", table}, {"warm", table}, {"disabled", nil}} {
+					got, err := treeEndToEnd(set, approach, cfg, tree, state.t)
+					if !sameOutcome(got, err, want, wantErr) {
+						t.Errorf("%v at %v, %s table: plan outcome diverges from the reference (errors: %v; reference %v)",
+							approach, rate, state.name, err, wantErr)
+					}
+				}
+				got, err := TreeEndToEnd(set, approach, cfg, tree)
+				if !sameOutcome(got, err, want, wantErr) {
+					t.Errorf("%v at %v: TreeEndToEnd diverges from the reference (errors: %v; reference %v)", approach, rate, err, wantErr)
+				}
 			}
-			for name, c := range map[string]*Cache{"nil": nil, "fresh": NewCache()} {
-				got, err := TreeEndToEndCached(set, approach, cfg, tree, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%v/%s cache: refactored TreeEndToEnd diverges from the per-flow double-evaluating reference", approach, name)
-				}
-				// A warm cache must reproduce the same bytes again.
-				again, err := TreeEndToEndCached(set, approach, cfg, tree, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(again, want) {
-					t.Errorf("%v/%s cache: warm-cache rerun diverges", approach, name)
-				}
+			if s := table.stats(); s.Misses != 1 || s.Hits != 3 {
+				t.Errorf("at %v: %d plan misses and %d hits, want one compile reused 3 times", rate, s.Misses, s.Hits)
 			}
 		}
+	}
+	if stable < 8 || stable == 12 {
+		t.Errorf("%d of 12 cells stable: the cases no longer cover both bounded and unstable outcomes", stable)
 	}
 }
 
@@ -341,7 +191,7 @@ func TestWideTreeUnstableTrunkErrorDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	const want = "trunk 0→1000: analysis: aggregate rate exceeds link capacity"
 	for run := 0; run < 10; run++ {
-		_, err := TreeEndToEndCached(set, FCFS, cfg, tree, nil)
+		_, err := treeEndToEnd(set, FCFS, cfg, tree, nil)
 		if err == nil {
 			t.Fatal("expected the over-subscribed wide star to be unstable")
 		}
@@ -351,49 +201,70 @@ func TestWideTreeUnstableTrunkErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestMuxDelaysMatchesMuxBound asserts the group-level delay tables are
-// byte-identical to the historical per-flow muxBound calls they replace,
-// for every member and both disciplines.
+// TestMuxDelaysMatchesMuxBound asserts the group-level delay tables
+// built from per-class sums are byte-identical to the historical per-flow
+// muxBound calls they replace, for every member, both disciplines, and a
+// stable and an over-subscribed link.
 func TestMuxDelaysMatchesMuxBound(t *testing.T) {
 	set := traffic.RealCase()
-	cfg := DefaultConfig()
-	specs := Specs(set, cfg)
-	for _, approach := range []Approach{FCFS, Priority} {
-		tbl := computeMuxDelays(specs, approach, cfg)
+	for _, rate := range []simtime.Rate{10 * simtime.Mbps, simtime.Mbps} {
+		cfg := DefaultConfig()
+		cfg.LinkRate = rate
+		specs := Specs(set, cfg)
+		var s classSums
 		for _, f := range specs {
-			wantD, wantErr := muxBound(specs, f, approach, cfg)
-			gotD, gotErr := tbl.delayFor(f)
-			if gotD != wantD || !reflect.DeepEqual(gotErr, wantErr) {
-				t.Fatalf("%v %s: table (%v, %v) != muxBound (%v, %v)",
-					approach, f.Msg.Name, gotD, gotErr, wantD, wantErr)
+			s.add(f.B, f.R, f.Msg.Priority)
+		}
+		for _, approach := range []Approach{FCFS, Priority} {
+			tbl := s.table(approach, cfg)
+			for _, f := range specs {
+				wantD, wantErr := muxBound(specs, f, approach, cfg)
+				p := f.Msg.Priority
+				if tbl.d[p] != wantD || !reflect.DeepEqual(tbl.err[p], wantErr) {
+					t.Fatalf("%v at %v, %s: table (%v, %v) != muxBound (%v, %v)",
+						approach, rate, f.Msg.Name, tbl.d[p], tbl.err[p], wantD, wantErr)
+				}
 			}
 		}
 	}
 }
 
-// TestEdgeBacklogsCacheStates asserts EdgeBacklogs is byte-identical with
-// no cache, a fresh cache and a warm cache, and that the warm pass hits.
+// TestEdgeBacklogsCacheStates asserts EdgeBacklogs is byte-identical to
+// the historical algorithm (the oracle ReferenceEdgeBacklogs) with no
+// plan table, a cold one and a warm one, and that the warm pass reuses
+// the plan.
 func TestEdgeBacklogsCacheStates(t *testing.T) {
 	set := traffic.RealCase()
 	cfg := DefaultConfig()
 	tree := chainTree(set)
-	want, err := EdgeBacklogsCached(set, cfg, tree, nil)
+	tree.TrunkRates = []simtime.Rate{0, simtime.Mbps / 10, 0}
+	want, err := ReferenceEdgeBacklogs(set, cfg, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCache()
-	cold, err := EdgeBacklogsCached(set, cfg, tree, c)
-	if err != nil {
-		t.Fatal(err)
+	table := &planTable{limit: planTableCap}
+	for _, state := range []struct {
+		name string
+		t    *planTable
+	}{{"disabled", nil}, {"cold", table}, {"warm", table}} {
+		got, err := edgeBacklogs(set, cfg, tree, state.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cfg != want.Cfg || !reflect.DeepEqual(got.Edges, want.Edges) {
+			t.Fatalf("%s table: EdgeBacklogs diverges from the reference", state.name)
+		}
 	}
-	warm, err := EdgeBacklogsCached(set, cfg, tree, c)
-	if err != nil {
-		t.Fatal(err)
+	if s := table.stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("warm EdgeBacklogs pass did not reuse the plan: %+v", s)
 	}
-	if !reflect.DeepEqual(cold.Edges, want.Edges) || !reflect.DeepEqual(warm.Edges, want.Edges) {
-		t.Fatal("EdgeBacklogs diverges across cache states")
+	unstable := 0
+	for _, e := range want.Edges {
+		if e.Unstable {
+			unstable++
+		}
 	}
-	if s := c.Stats(); s.Hits == 0 {
-		t.Fatalf("warm EdgeBacklogs pass recorded no cache hits: %+v", s)
+	if unstable == 0 {
+		t.Fatal("the starved trunk no longer makes any edge unstable")
 	}
 }

@@ -171,3 +171,45 @@ func TestTreeHeteroSlowLinkCanBeUnstable(t *testing.T) {
 		t.Error("oversubscribed trunk produced a finite bound")
 	}
 }
+
+// TestTreeValidateFirstError pins which error Validate reports when
+// several entries are bad: the smallest unreachable switch, and the
+// smallest offending station key, checked placement before sign — the
+// entry a scan in sorted order stops at — on every call, whatever the
+// map iteration order.
+func TestTreeValidateFirstError(t *testing.T) {
+	placed := func() map[string]int { return map[string]int{"a": 0, "m": 1, "z": 2} }
+	chain := func() *Tree { return &Tree{Switches: 3, Links: [][2]int{{0, 1}, {1, 2}}, StationSwitch: placed()} }
+	cases := []struct {
+		tree *Tree
+		want string
+	}{
+		{&Tree{Switches: 5, Links: [][2]int{{0, 1}, {3, 4}, {2, 4}, {4, 3}}, StationSwitch: placed()},
+			"analysis: switch 2 unreachable"},
+		{func() *Tree { t := chain(); t.StationSwitch["sw9"] = 0; t.StationSwitch["sw10"] = 1; return t }(),
+			`analysis: station name "sw10" collides with the switch namespace (sw<number>)`},
+		{func() *Tree {
+			t := chain()
+			t.StationRates = map[string]simtime.Rate{"z": -1, "b": simtime.Mbps}
+			return t
+		}(),
+			`analysis: rate override for unplaced station "b"`},
+		{func() *Tree {
+			t := chain()
+			t.StationRates = map[string]simtime.Rate{"m": -3, "q": simtime.Mbps, "z": -1}
+			return t
+		}(), `analysis: negative rate -3bps for station "m"`},
+		{func() *Tree { t := chain(); t.StationProps = map[string]simtime.Duration{"z": -1, "c": 1}; return t }(),
+			`analysis: propagation override for unplaced station "c"`},
+		{func() *Tree { t := chain(); t.StationProps = map[string]simtime.Duration{"a": -7, "y": 1}; return t }(),
+			`analysis: negative propagation delay -7ns for station "a"`},
+	}
+	for i, c := range cases {
+		for run := 0; run < 20; run++ {
+			err := c.tree.Validate([]string{"a", "m", "z"})
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("case %d run %d: error %v, want %q", i, run, err, c.want)
+			}
+		}
+	}
+}

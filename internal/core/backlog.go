@@ -40,15 +40,15 @@ func EdgeBacklogs(net *topology.Network, set *traffic.Set, cfg analysis.Config) 
 	if err := net.Validate(set.Stations()); err != nil {
 		return nil, err
 	}
-	out := &NetworkBacklogs{Net: net}
-	for p := 0; p < net.PlaneCount(); p++ {
-		r, err := analysis.EdgeBacklogs(set, cfg, net.PlaneTree(p, cfg.LinkRate))
-		if err != nil {
-			return nil, fmt.Errorf("core: plane %d: %w", p, err)
-		}
-		out.Planes = append(out.Planes, r)
+	trees := make([]*analysis.Tree, net.PlaneCount())
+	for p := range trees {
+		trees[p] = net.PlaneTree(p, cfg.LinkRate)
 	}
-	return out, nil
+	planes, err := analysis.PlaneEdgeBacklogs(set, cfg, trees)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return &NetworkBacklogs{Net: net, Planes: planes}, nil
 }
 
 // Backlogs prices every queue of the scenario's architecture.

@@ -67,8 +67,9 @@ func (e Experiment[P, C]) Run(opts SweepOptions) ([]C, error) {
 
 // bindAll binds and bounds every point — the fallible prefix shared by
 // Run and RunStream. Points bind on the sweep worker pool: Bind and the
-// analytic bounds are pure functions of their point (the analysis cache
-// returns identical bytes in any arrival order), so the results — and the
+// analytic bounds are pure functions of their point (analysis plans hold
+// structure only, so whichever point compiles a shared plan, every point
+// evaluates it to identical bytes), so the results — and the
 // lowest-index error, which the pool guarantees — are bit-identical at
 // any worker count.
 func (e Experiment[P, C]) bindAll(workers int) (scens []*Scenario, bounds []*analysis.Result, idx []int, err error) {

@@ -17,7 +17,8 @@ import (
 // Verdict is the soundness record of one checked scenario. Violations is
 // the invariant ledger: an empty list means the scenario survived every
 // oracle — canonical round-trip, latency bounds, backlog bounds, counter
-// conservation, and (when requested and eligible) byte-identity with the
+// conservation, byte-identity of plan evaluation with the reference
+// analyses, and (when requested and eligible) byte-identity with the
 // reference simulator.
 type Verdict struct {
 	// Name and Hash identify the scenario (core.CanonicalConfigHash).
@@ -114,7 +115,7 @@ func check(cfg *topology.Config, oracle bool) (*Verdict, error) {
 		return nil, fmt.Errorf("scenariogen: backlogs: %w", err)
 	}
 
-	verifyCacheEquivalence(v, s, bounds, backs)
+	verifyPlanOracle(v, s, backs)
 
 	sim, err := s.Simulate()
 	if err != nil {
@@ -174,60 +175,65 @@ func check(cfg *topology.Config, oracle bool) (*Verdict, error) {
 	return v, nil
 }
 
-// equivMu serializes the global memo toggles: concurrent equivalence
-// checks flipping them independently could restore a stale setting.
+// equivMu serializes the global curve-memo toggle: concurrent oracle
+// checks flipping it independently could restore a stale setting.
 var equivMu sync.Mutex
 
-// verifyCacheEquivalence recomputes the scenario's bounds and backlogs
-// with the netcalc curve memo and the analysis cache disabled, and
-// verdicts any divergence from the memoized results computed by check —
-// the byte-identity contract of both memoization layers, exercised on
-// every scenario of the 1000-seed sweep. bounds is nil when the memoized
-// analysis flagged the scenario unstable (v.Unstable); the uncached
-// analysis must then agree on instability.
-func verifyCacheEquivalence(v *Verdict, s *core.Scenario, bounds *analysis.Result, backs *core.NetworkBacklogs) {
+// verifyPlanOracle recomputes the scenario's analyses with the historical
+// oracles (analysis.ReferenceTreeEndToEnd and ReferenceEdgeBacklogs, with
+// the netcalc curve memo disabled) and verdicts any divergence from plan
+// evaluation: the tree bounds of the network's own tree and of every
+// plane — the inputs of every composition Analyze builds — and the
+// per-plane backlog tables check computed. Outcomes must agree exactly:
+// equal results, or equal error texts (an unstable network is unstable
+// under both).
+func verifyPlanOracle(v *Verdict, s *core.Scenario, backs *core.NetworkBacklogs) {
+	cfg := s.Analysis()
+	trees := []*analysis.Tree{s.Net.Tree()}
+	for p := 0; p < s.Net.PlaneCount(); p++ {
+		trees = append(trees, s.Net.PlaneTree(p, cfg.LinkRate))
+	}
+	type outcome struct {
+		res *analysis.Result
+		err error
+	}
+	plans := make([]outcome, len(trees))
+	for i, tree := range trees {
+		plans[i].res, plans[i].err = analysis.TreeEndToEnd(s.Set, s.Sim.Approach, cfg, tree)
+	}
+
 	equivMu.Lock()
 	defer equivMu.Unlock()
 	prevMemo := netcalc.SetMemoEnabled(false)
-	prevCache := analysis.SetCacheEnabled(false)
-	defer func() {
-		netcalc.SetMemoEnabled(prevMemo)
-		analysis.SetCacheEnabled(prevCache)
-	}()
+	defer netcalc.SetMemoEnabled(prevMemo)
 
-	rawBounds, err := s.Analyze(s.Sim.Approach)
-	switch {
-	case errors.Is(err, analysis.ErrUnstable):
-		if !v.Unstable {
-			v.violate("memo equivalence: uncached analysis unstable, memoized analysis was not")
-		}
-	case err != nil:
-		v.violate("memo equivalence: uncached analysis failed: %v", err)
-	default:
+	for i, tree := range trees {
+		want, err := analysis.ReferenceTreeEndToEnd(s.Set, s.Sim.Approach, cfg, tree)
+		got := plans[i]
 		switch {
-		case v.Unstable:
-			v.violate("memo equivalence: memoized analysis unstable, uncached analysis was not")
-		case !reflect.DeepEqual(bounds, rawBounds):
-			v.violate("memo equivalence: bounds diverge between memoized and uncached analysis")
+		case got.err != nil || err != nil:
+			if got.err == nil || err == nil || got.err.Error() != err.Error() {
+				v.violate("plan oracle: tree %d: plan analysis error %v, reference error %v", i, got.err, err)
+			}
+		case !reflect.DeepEqual(got.res, want):
+			v.violate("plan oracle: tree %d: bounds diverge between plan and reference analysis", i)
 		}
 	}
-
-	rawBacks, err := s.Backlogs()
-	if err != nil {
-		v.violate("memo equivalence: uncached backlogs failed: %v", err)
-		return
-	}
-	if len(rawBacks.Planes) != len(backs.Planes) {
-		v.violate("memo equivalence: backlog plane counts diverge: %d != %d", len(backs.Planes), len(rawBacks.Planes))
+	if len(backs.Planes) != s.Net.PlaneCount() {
+		v.violate("plan oracle: %d backlog planes for %d network planes", len(backs.Planes), s.Net.PlaneCount())
 		return
 	}
 	for p, plane := range backs.Planes {
-		raw := rawBacks.Planes[p]
+		raw, err := analysis.ReferenceEdgeBacklogs(s.Set, cfg, trees[p+1])
+		if err != nil {
+			v.violate("plan oracle: plane %d: reference backlogs failed: %v", p, err)
+			continue
+		}
 		// Compare Cfg and Edges, not the whole struct: EdgeBacklogResult
 		// carries a lazily built lookup index that depends on ByKey call
 		// history, not on the bounds.
 		if plane.Cfg != raw.Cfg || !reflect.DeepEqual(plane.Edges, raw.Edges) {
-			v.violate("memo equivalence: plane %d backlog bounds diverge between memoized and uncached analysis", p)
+			v.violate("plan oracle: plane %d backlog bounds diverge between plan and reference analysis", p)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"container/list"
+	"errors"
+	"fmt"
 	"sync"
 )
 
@@ -56,7 +58,8 @@ func newResultCache(max int) *resultCache {
 // get returns the body for key, computing it at most once across
 // concurrent callers. The bool reports whether the body came from the
 // cache (a stored entry or a coalesced flight) rather than a fresh
-// compute by this caller. Failed computes are never stored.
+// compute by this caller. Failed computes are never stored; a compute
+// that panics fails its flight with errComputePanicked.
 func (c *resultCache) get(key string, compute func() ([]byte, error)) ([]byte, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -77,7 +80,7 @@ func (c *resultCache) get(key string, compute func() ([]byte, error)) ([]byte, b
 	c.inflight[key] = f
 	c.mu.Unlock()
 
-	f.body, f.err = compute()
+	f.body, f.err = runCompute(compute)
 
 	c.mu.Lock()
 	delete(c.inflight, key)
@@ -93,6 +96,22 @@ func (c *resultCache) get(key string, compute func() ([]byte, error)) ([]byte, b
 	c.mu.Unlock()
 	close(f.done)
 	return f.body, false, f.err
+}
+
+// errComputePanicked marks the error of a flight whose compute panicked.
+var errComputePanicked = errors.New("serve: compute panicked")
+
+// runCompute runs one flight's compute, turning a panic into an error so
+// the flight still ends: its inflight entry is deleted and done closed,
+// and leader and followers alike get the error instead of later requests
+// for the key blocking forever on a flight that never lands.
+func runCompute(compute func() ([]byte, error)) (body []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			body, err = nil, fmt.Errorf("%w: %v", errComputePanicked, r)
+		}
+	}()
+	return compute()
 }
 
 // CacheStats is the cache counter snapshot exposed on /v1/stats.

@@ -126,3 +126,69 @@ func TestCacheErrorNotStored(t *testing.T) {
 		t.Fatalf("retry: body=%q hit=%v err=%v (errors must not be cached)", body, hit, err)
 	}
 }
+
+// TestCacheSingleflightPanic: a compute that panics fails its flight
+// instead of wedging the key. The leader and a coalesced follower both
+// get the error, nothing is stored, and the next get of the key computes
+// afresh. Run under -race in CI.
+func TestCacheSingleflightPanic(t *testing.T) {
+	c := newResultCache(8)
+	release := make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		_, _, err := c.get("k", func() ([]byte, error) {
+			<-release
+			panic("injected compute failure")
+		})
+		errs <- err
+	}()
+	waitFor(t, "the leader's flight", func() bool { return c.stats().Misses == 1 })
+	go func() {
+		_, _, err := c.get("k", func() ([]byte, error) {
+			t.Error("a follower ran its own compute")
+			return nil, nil
+		})
+		errs <- err
+	}()
+	waitFor(t, "the follower to coalesce", func() bool { return c.stats().Coalesced == 1 })
+	close(release)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, errComputePanicked) {
+				t.Fatalf("err = %v, want errComputePanicked", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a caller of the panicked flight is still blocked")
+		}
+	}
+	if n := c.stats().Entries; n != 0 {
+		t.Fatalf("%d entries stored by a panicked compute", n)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		body, hit, err := c.get("k", func() ([]byte, error) { return []byte("ok"), nil })
+		if err != nil || hit || string(body) != "ok" {
+			t.Errorf("retry: body=%q hit=%v err=%v", body, hit, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the key is wedged: a later get blocks on the panicked flight")
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

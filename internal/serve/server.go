@@ -244,7 +244,11 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, endpoint string,
 		return buf.Bytes(), nil
 	})
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		msg := err.Error()
+		if errors.Is(err, errComputePanicked) {
+			msg += " (scenario " + hash + ")"
+		}
+		http.Error(w, msg, http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

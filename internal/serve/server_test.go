@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,6 +168,59 @@ func TestConcurrentIdenticalPosts(t *testing.T) {
 		if !bytes.Equal(bodies[0], bodies[i]) {
 			t.Fatalf("caller %d got a different body", i)
 		}
+	}
+}
+
+// TestConcurrentComputePanic: a compute that panics answers 500 naming
+// the scenario's hash — to the leader and to a follower coalesced onto
+// its flight — and leaves the scenario servable: the next POST of it
+// computes and answers 200. Run under -race in CI.
+func TestConcurrentComputePanic(t *testing.T) {
+	fixture, err := os.ReadFile(heteroFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := topology.Load(bytes.NewReader(fixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := core.CanonicalConfigHash(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{CacheEntries: 8, MaxInflight: 2})
+	release := make(chan struct{})
+	var injected atomic.Bool
+	s.computeGate = func() {
+		if injected.CompareAndSwap(false, true) {
+			<-release
+			panic("injected compute failure")
+		}
+	}
+
+	var wg sync.WaitGroup
+	codes := make([]int, 2)
+	bodies := make([][]byte, 2)
+	for i := range codes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, body := post(t, ts, "/v1/analyze", fixture)
+			codes[i], bodies[i] = resp.StatusCode, body
+		}(i)
+	}
+	waitFor(t, "the second POST to coalesce", func() bool { return s.cache.stats().Coalesced == 1 })
+	close(release)
+	wg.Wait()
+	for i := range codes {
+		if codes[i] != http.StatusInternalServerError || !strings.Contains(string(bodies[i]), hash) {
+			t.Errorf("caller %d: status %d, body %q; want 500 naming scenario %s", i, codes[i], bodies[i], hash)
+		}
+	}
+
+	resp, body := post(t, ts, "/v1/analyze", fixture)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("after the panic: status %d, X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), body)
 	}
 }
 
