@@ -91,11 +91,15 @@ func Backlog(w io.Writer, s *core.Scenario, dimension bool) error {
 		return err
 	}
 	if dimension {
-		cfg := s.Cfg
-		if cfg.Sim == nil {
-			cfg.Sim = &topology.SimJSON{}
+		// Encode a copy: the caller's scenario, and so its canonical
+		// hash, must not change by being rendered.
+		cfg := *s.Cfg
+		var sim topology.SimJSON
+		if cfg.Sim != nil {
+			sim = *cfg.Sim
 		}
-		cfg.Sim.QueueCapacitiesBytes = bl.Capacities()
+		sim.QueueCapacitiesBytes = bl.Capacities()
+		cfg.Sim = &sim
 		return cfg.Save(w)
 	}
 

@@ -10,22 +10,27 @@ import (
 // resultCache is the content-addressed result cache in front of the
 // service's compute: finished response bodies keyed by the request's
 // canonical identity (endpoint + semantic parameters + the SHA-256 of
-// the canonical scenario JSON, see requestKey). Two properties matter
-// beyond plain LRU:
+// the canonical scenario JSON, see Server.cached). Three properties
+// matter beyond plain LRU:
 //
 //   - Singleflight: concurrent requests for the same key coalesce onto
 //     one compute; followers block on the leader's flight and share its
 //     body. A stampede of identical POSTs costs one simulation.
 //   - Content addressing: the key hashes the *canonical* scenario, so
 //     reformatted-but-equal scenario JSON hits the same entry.
+//   - Exact replay: each entry carries at most one alias key, the
+//     digest of the raw request bytes that last reached it, so a
+//     byte-identical repeat is answered by lookup without decoding.
+//     An alias lives and dies with its entry: the cache holds at most
+//     max bodies and 2*max keys.
 //
 // Bodies are immutable once inserted (callers must not mutate the
 // returned slice), so sharing bytes across requests is safe.
 type resultCache struct {
 	mu       sync.Mutex
-	max      int // entry bound; <= 0 disables storage (coalescing stays)
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
+	max      int                      // entry bound; <= 0 disables storage (coalescing stays)
+	entries  map[string]*list.Element // canonical keys and aliases alike
+	order    *list.List               // front = most recently used
 	inflight map[string]*flight
 
 	hits      uint64
@@ -35,8 +40,9 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	body []byte
+	key   string
+	alias string // "" = none
+	body  []byte
 }
 
 // flight is one in-progress compute; followers wait on done.
@@ -53,6 +59,42 @@ func newResultCache(max int) *resultCache {
 		order:    list.New(),
 		inflight: make(map[string]*flight),
 	}
+}
+
+// lookup returns the stored body for key, a canonical key or an alias,
+// without computing. Only a hit is counted: a miss falls through to get,
+// which counts it.
+func (c *resultCache) lookup(key string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	c.order.MoveToFront(el)
+	c.hits++
+	return el.Value.(*cacheEntry).body, true
+}
+
+// alias points alias at the stored entry of key, replacing the entry's
+// previous alias. Nothing is stored when key has no entry: storage is
+// disabled, the compute failed, or the entry was already evicted.
+func (c *resultCache) alias(key, alias string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	if e.alias == alias {
+		return
+	}
+	if e.alias != "" {
+		delete(c.entries, e.alias)
+	}
+	e.alias = alias
+	c.entries[alias] = el
 }
 
 // get returns the body for key, computing it at most once across
@@ -89,7 +131,11 @@ func (c *resultCache) get(key string, compute func() ([]byte, error)) ([]byte, b
 		for c.order.Len() > c.max {
 			oldest := c.order.Back()
 			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*cacheEntry).key)
+			e := oldest.Value.(*cacheEntry)
+			delete(c.entries, e.key)
+			if e.alias != "" {
+				delete(c.entries, e.alias)
+			}
 			c.evictions++
 		}
 	}

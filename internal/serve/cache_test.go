@@ -113,6 +113,72 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestCacheAliasBound: every entry may carry one alias, so under churn
+// the key table stays within 2*max while the bodies stay within max.
+func TestCacheAliasBound(t *testing.T) {
+	const max = 4
+	c := newResultCache(max)
+	for i := 0; i < 10*max; i++ {
+		key := fmt.Sprintf("k%d", i)
+		c.get(key, func() ([]byte, error) { return []byte(key), nil })
+		c.alias(key, "raw:"+key)
+		if n := len(c.entries); n > 2*max {
+			t.Fatalf("after %d keys: %d keys stored, want <= %d", i+1, n, 2*max)
+		}
+		if s := c.stats(); s.Entries > max {
+			t.Fatalf("after %d keys: %d bodies stored, want <= %d", i+1, s.Entries, max)
+		}
+	}
+}
+
+// TestCacheAliasLifecycle: an alias answers for its entry, dies with it
+// on eviction, and is dropped when the entry is re-aliased.
+func TestCacheAliasLifecycle(t *testing.T) {
+	c := newResultCache(2)
+	fill := func(key string) {
+		c.get(key, func() ([]byte, error) { return []byte(key), nil })
+	}
+	fill("a")
+	c.alias("a", "raw:a1")
+	if body, ok := c.lookup("raw:a1"); !ok || string(body) != "a" {
+		t.Fatalf("alias lookup = %q, %v; want a's body", body, ok)
+	}
+
+	c.alias("a", "raw:a2")
+	if _, ok := c.lookup("raw:a1"); ok {
+		t.Error("the replaced alias still answers")
+	}
+	if body, ok := c.lookup("raw:a2"); !ok || string(body) != "a" {
+		t.Errorf("new alias lookup = %q, %v; want a's body", body, ok)
+	}
+
+	fill("b")
+	fill("c") // evicts a, the least recently used
+	if _, ok := c.lookup("a"); ok {
+		t.Fatal("a was least recently used; it must have been evicted")
+	}
+	if _, ok := c.lookup("raw:a2"); ok {
+		t.Error("an evicted entry's alias still answers")
+	}
+	if n := len(c.entries); n != 2 {
+		t.Errorf("%d keys after the eviction, want 2 (b, c; no stale alias)", n)
+	}
+}
+
+// TestCacheDisabledStoresNoAlias: with storage disabled there is no
+// entry to alias, so no key is kept at all.
+func TestCacheDisabledStoresNoAlias(t *testing.T) {
+	c := newResultCache(0)
+	c.get("k", func() ([]byte, error) { return []byte("x"), nil })
+	c.alias("k", "raw:k")
+	if _, ok := c.lookup("raw:k"); ok {
+		t.Error("a disabled cache answered from an alias")
+	}
+	if n := len(c.entries); n != 0 {
+		t.Errorf("%d keys in a disabled cache, want 0", n)
+	}
+}
+
 // TestCacheErrorNotStored: a failed compute is reported to its callers
 // and never cached; the next get retries.
 func TestCacheErrorNotStored(t *testing.T) {

@@ -13,12 +13,22 @@
 // subcommand's stdout: both sides call the same internal/render encoder,
 // so there is nothing to drift. /v1/sweep streams its grid cells as
 // NDJSON in deterministic grid order as workers complete them
-// (core.RunGridStream); everything else is cached content-addressed —
-// the key hashes the canonical scenario JSON (core.CanonicalConfigHash)
-// plus the semantic query parameters, so reformatted-but-equal scenarios
-// hit, and concurrent identical requests coalesce onto one simulation.
-// Execution-only knobs (parallel) stay out of the key: results are
-// bit-identical at any worker count by the sweep engine's contract.
+// (core.RunGridStream); everything else is cached, and each request does
+// only the work its outcome needs. The lookup order is:
+//
+//  1. exact replay — the SHA-256 of the raw body bytes plus the semantic
+//     query parameters; a byte-identical repeat is answered without
+//     decoding, hashing or binding;
+//  2. canonical address — the hash of the canonical scenario JSON
+//     (core.CanonicalConfigHash) plus the same parameters, so
+//     reformatted-but-equal scenarios hit;
+//  3. bind and compute — only now is the scenario bound, and concurrent
+//     identical requests coalesce onto one simulation.
+//
+// Each stored body carries at most one replay alias, so the cache holds
+// at most 2 × CacheEntries keys for CacheEntries bodies. Execution-only
+// knobs (parallel) stay out of both keys: results are bit-identical at
+// any worker count by the sweep engine's contract.
 //
 // Compute is guarded by a weighted-fair admission controller: analyze,
 // backlog and validate are interactive (weight 4), sweeps are batch
@@ -29,6 +39,8 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -114,35 +126,32 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // so 4MB is three orders of magnitude of headroom.
 const maxBodyBytes = 4 << 20
 
-// readScenario decodes the request body into a bound scenario plus its
-// canonical content hash. An empty body selects the built-in real case,
-// matching the CLI's missing -config. The hash is taken before binding:
-// binding folds defaults into the config and must not move the address.
-func readScenario(r *http.Request) (*core.Scenario, string, error) {
+// readScenario reads the raw request body under the 4MB bound. It does
+// not decode: a byte-identical repeat is answered from these bytes'
+// digest alone (see cached).
+func readScenario(r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
-		return nil, "", fmt.Errorf("read body: %w", err)
+		return nil, fmt.Errorf("read body: %w", err)
 	}
 	if len(body) > maxBodyBytes {
-		return nil, "", errors.New("scenario exceeds the 4MB body bound")
+		return nil, errors.New("scenario exceeds the 4MB body bound")
 	}
-	cfg := topology.Default()
-	if len(bytes.TrimSpace(body)) > 0 {
-		cfg, err = topology.Load(bytes.NewReader(body))
-		if err != nil {
-			return nil, "", err
-		}
-	}
-	hash, err := core.CanonicalConfigHash(cfg)
-	if err != nil {
-		return nil, "", err
-	}
-	sc, err := core.NewScenario(cfg)
-	if err != nil {
-		return nil, "", err
-	}
-	return sc, hash, nil
+	return body, nil
 }
+
+// decodeScenario decodes a scenario body. An empty body selects the
+// built-in real case, matching the CLI's missing -config.
+func decodeScenario(body []byte) (*topology.Config, error) {
+	if len(bytes.TrimSpace(body)) == 0 {
+		return topology.Default(), nil
+	}
+	return topology.Load(bytes.NewReader(body))
+}
+
+// badRequest marks a compute error that is the request's fault: the
+// scenario decodes but does not bind. It answers 400, not 500.
+type badRequest struct{ error }
 
 // clientID names the admission principal of a request: the X-Client-Id
 // header when present, else the peer host.
@@ -199,36 +208,63 @@ func uint64Param(q url.Values, name string, def uint64) (uint64, error) {
 	return n, nil
 }
 
-// request is one decoded cacheable request: the semantic cache-key
+// request is one parsed cacheable request: the semantic cache-key
 // parameters (execution-only knobs excluded), the admission cost, and
-// the response encoder.
+// the response encoder over the bound scenario.
 type request struct {
 	params string
 	cost   float64
-	enc    func(io.Writer) error
+	enc    func(io.Writer, *core.Scenario) error
 }
 
-// cached runs the shared pipeline of every non-streaming endpoint:
-// decode, content-address, hit the cache or admit + compute exactly once
-// across concurrent identical requests, reply.
+// cached runs the shared pipeline of every non-streaming endpoint, in
+// the package's lookup order: exact replay → canonical address → bind
+// and compute. The query is parsed before the body is read, so the raw
+// key needs no decode. The hash is taken before binding: binding folds
+// defaults into the config and must not move the address. Binding runs
+// inside the compute, before admission; a bind error answers 400 and is
+// never stored. A successful canonical lookup or compute re-aliases the
+// entry to this request's raw key, so the next byte-identical repeat
+// replays.
 func (s *Server) cached(w http.ResponseWriter, r *http.Request, endpoint string, weight float64,
-	build func(q url.Values, sc *core.Scenario) (request, error)) {
+	build func(q url.Values) (request, error)) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a scenario JSON (empty body = built-in real case)", http.StatusMethodNotAllowed)
 		return
 	}
-	sc, hash, err := readScenario(r)
+	req, err := build(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	req, err := build(r.URL.Query(), sc)
+	raw, err := readScenario(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	key := endpoint + "?" + req.params + "#" + hash
+	prefix := endpoint + "?" + req.params + "#"
+	digest := sha256.Sum256(raw)
+	rawKey := prefix + "raw:" + hex.EncodeToString(digest[:])
+	if body, ok := s.cache.lookup(rawKey); ok {
+		reply(w, body, true)
+		return
+	}
+	cfg, err := decodeScenario(raw)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	hash, err := core.CanonicalConfigHash(cfg)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	key := prefix + hash
 	body, hit, err := s.cache.get(key, func() ([]byte, error) {
+		sc, err := core.NewScenario(cfg)
+		if err != nil {
+			return nil, badRequest{err}
+		}
 		if err := s.adm.acquire(r.Context(), clientID(r), weight, req.cost); err != nil {
 			return nil, err
 		}
@@ -238,19 +274,28 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, endpoint string,
 		}
 		s.computes.Add(1)
 		var buf bytes.Buffer
-		if err := req.enc(&buf); err != nil {
+		if err := req.enc(&buf, sc); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil
 	})
 	if err != nil {
-		msg := err.Error()
+		msg, status := err.Error(), http.StatusInternalServerError
+		if errors.As(err, new(badRequest)) {
+			status = http.StatusBadRequest
+		}
 		if errors.Is(err, errComputePanicked) {
 			msg += " (scenario " + hash + ")"
 		}
-		http.Error(w, msg, http.StatusInternalServerError)
+		http.Error(w, msg, status)
 		return
 	}
+	s.cache.alias(key, rawKey)
+	reply(w, body, hit)
+}
+
+// reply writes a cached endpoint's body with its X-Cache verdict.
+func reply(w http.ResponseWriter, body []byte, hit bool) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if hit {
 		w.Header().Set("X-Cache", "hit")
@@ -261,7 +306,7 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, endpoint string,
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	s.cached(w, r, "analyze", 4, func(q url.Values, sc *core.Scenario) (request, error) {
+	s.cached(w, r, "analyze", 4, func(q url.Values) (request, error) {
 		e2e, err := boolParam(q, "e2e")
 		if err != nil {
 			return request{}, err
@@ -269,13 +314,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return request{
 			params: fmt.Sprintf("e2e=%v", e2e),
 			cost:   1,
-			enc:    func(w io.Writer) error { return render.Analyze(w, sc, e2e) },
+			enc:    func(w io.Writer, sc *core.Scenario) error { return render.Analyze(w, sc, e2e) },
 		}, nil
 	})
 }
 
 func (s *Server) handleBacklog(w http.ResponseWriter, r *http.Request) {
-	s.cached(w, r, "backlog", 4, func(q url.Values, sc *core.Scenario) (request, error) {
+	s.cached(w, r, "backlog", 4, func(q url.Values) (request, error) {
 		dimension, err := boolParam(q, "dimension")
 		if err != nil {
 			return request{}, err
@@ -283,13 +328,13 @@ func (s *Server) handleBacklog(w http.ResponseWriter, r *http.Request) {
 		return request{
 			params: fmt.Sprintf("dimension=%v", dimension),
 			cost:   1,
-			enc:    func(w io.Writer) error { return render.Backlog(w, sc, dimension) },
+			enc:    func(w io.Writer, sc *core.Scenario) error { return render.Backlog(w, sc, dimension) },
 		}, nil
 	})
 }
 
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	s.cached(w, r, "validate", 4, func(q url.Values, sc *core.Scenario) (request, error) {
+	s.cached(w, r, "validate", 4, func(q url.Values) (request, error) {
 		reps, err := intParam(q, "reps", 1, 1, 1000)
 		if err != nil {
 			return request{}, err
@@ -314,7 +359,9 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		return request{
 			params: fmt.Sprintf("reps=%d&seed=%d&horizon_us=%d&horizon_set=%v", reps, seed, horizonUs, horizonSet),
 			cost:   float64(2 * reps),
-			enc:    func(w io.Writer) error { return render.Validate(w, sc, opts, horizon, horizonSet) },
+			enc: func(w io.Writer, sc *core.Scenario) error {
+				return render.Validate(w, sc, opts, horizon, horizonSet)
+			},
 		}, nil
 	})
 }
@@ -362,7 +409,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a scenario JSON (empty body = built-in real case)", http.StatusMethodNotAllowed)
 		return
 	}
-	sc, _, err := readScenario(r)
+	raw, err := readScenario(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	doc, err := decodeScenario(raw)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	sc, err := core.NewScenario(doc)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -294,9 +294,23 @@ func TestValidateMatchesRender(t *testing.T) {
 	}
 }
 
-// TestBadRequests: malformed inputs get 4xx, not computes.
+// TestBadRequests: malformed inputs get 4xx, not computes. A scenario
+// that decodes but does not bind is found only on the compute path; it
+// still answers 400, and a repeat of it is neither replayed nor cached.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheEntries: 8, MaxInflight: 2})
+	fixture, err := os.ReadFile(heteroFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbound := strings.Replace(string(fixture), `"sim": {`,
+		`"sim": {"queue_capacities_bytes": {"sw0->nowhere": 100},`, 1)
+	if unbound == string(fixture) {
+		t.Fatal("fixture has no sim section to extend")
+	}
+	if _, err := topology.Load(strings.NewReader(unbound)); err != nil {
+		t.Fatalf("the unbindable scenario must pass decoding: %v", err)
+	}
 	cases := []struct {
 		name, method, path, body string
 		status                   int
@@ -308,6 +322,10 @@ func TestBadRequests(t *testing.T) {
 		{"bad approach", http.MethodPost, "/v1/sweep?approach=wrr", "", http.StatusBadRequest},
 		{"zero reps", http.MethodPost, "/v1/validate?reps=0", "", http.StatusBadRequest},
 		{"bad seed", http.MethodPost, "/v1/validate?seed=-1", "", http.StatusBadRequest},
+		{"unbindable", http.MethodPost, "/v1/analyze", unbound, http.StatusBadRequest},
+		{"unbindable again", http.MethodPost, "/v1/analyze", unbound, http.StatusBadRequest},
+		{"unbindable sweep", http.MethodPost, "/v1/sweep", unbound, http.StatusBadRequest},
+		{"oversized body", http.MethodPost, "/v1/analyze", strings.Repeat(" ", maxBodyBytes+1), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -325,8 +343,76 @@ func TestBadRequests(t *testing.T) {
 			}
 		})
 	}
-	if st := statsOf(t, ts); st.Computes != 0 {
+	st := statsOf(t, ts)
+	if st.Computes != 0 {
 		t.Errorf("%d computes from pure 4xx traffic, want 0", st.Computes)
+	}
+	if st.Cache.Entries != 0 {
+		t.Errorf("%d cache entries from pure 4xx traffic, want 0", st.Cache.Entries)
+	}
+}
+
+// TestExactReplay: one scenario sent as the fixture bytes, the same bytes
+// again, compacted bytes, then the fixture bytes once more gets one body
+// and one compute. The byte-identical repeats replay from the raw-body
+// alias, the compacted one hits the canonical address. The query
+// parameters are part of both keys: e2e=0 never answers from e2e=1's
+// alias.
+func TestExactReplay(t *testing.T) {
+	fixture, err := os.ReadFile(heteroFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, fixture); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{CacheEntries: 8, MaxInflight: 2})
+	var first []byte
+	for i, body := range [][]byte{fixture, fixture, compact.Bytes(), fixture} {
+		resp, got := post(t, ts, "/v1/analyze?e2e=1", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, got)
+		}
+		if i == 0 {
+			first = got
+			continue
+		}
+		if x := resp.Header.Get("X-Cache"); x != "hit" {
+			t.Errorf("request %d: X-Cache = %q, want hit", i, x)
+		}
+		if !bytes.Equal(got, first) {
+			t.Errorf("request %d: body differs from the first", i)
+		}
+	}
+	if n := s.Stats().Computes; n != 1 {
+		t.Errorf("%d computes, want 1", n)
+	}
+
+	// The e2e=1 entry is aliased to the fixture bytes; the same bytes
+	// under e2e=0 must miss and render the single-hop model.
+	resp, single := post(t, ts, "/v1/analyze?e2e=0", fixture)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("e2e=0: status %d, X-Cache %q; want 200 miss", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+	sc, err := core.LoadScenario(heteroFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := render.Analyze(&want, sc, false); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(single, want.Bytes()) {
+		t.Error("e2e=0 answered with another body than the single-hop encoder's")
+	}
+	resp, again := post(t, ts, "/v1/analyze?e2e=1", fixture)
+	if resp.Header.Get("X-Cache") != "hit" || !bytes.Equal(again, first) {
+		t.Errorf("e2e=1 after e2e=0: X-Cache %q, same body %v; want a hit on the e2e=1 body",
+			resp.Header.Get("X-Cache"), bytes.Equal(again, first))
+	}
+	if n := s.Stats().Computes; n != 2 {
+		t.Errorf("%d computes, want 2 (one per e2e value)", n)
 	}
 }
 
