@@ -22,7 +22,6 @@ import (
 	"slices"
 
 	"repro/internal/analysis"
-	"repro/internal/des"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -102,12 +101,6 @@ type SimConfig struct {
 	// straight into the station multiplexers — the uncontrolled network
 	// whose unpredictability motivates the paper.
 	BypassShapers bool
-
-	// EventPool, if non-nil, supplies the DES kernel's event-record free
-	// list, so sequential runs (a sweep worker's grid cells) reuse the
-	// records warmed up by earlier runs. Never part of scenario JSON, and
-	// not safe to share across concurrently running simulations.
-	EventPool *des.Pool
 }
 
 // DefaultSimConfig returns the paper-matched simulation parameters: 10 Mbps

@@ -151,7 +151,7 @@ func NewNetworkSim(set *traffic.Set, cfg SimConfig, topo *topology.Network) (*Ne
 		set:    set,
 		cfg:    cfg,
 		topo:   topo,
-		sim:    des.NewWithPool(cfg.Seed, cfg.EventPool),
+		sim:    des.New(cfg.Seed),
 		planes: topo.PlaneCount(),
 		kind:   ethernet.QueueFCFS,
 	}

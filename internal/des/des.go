@@ -4,17 +4,29 @@
 //
 // The kernel is a classic event-list simulator: events carry a virtual
 // timestamp, a monotonically increasing sequence number for deterministic
-// tie-breaking, and a callback. The scheduler pops the earliest event,
+// tie-breaking, and a callback. The scheduler delivers the earliest event,
 // advances the virtual clock to its timestamp, and runs the callback, which
 // may schedule further events. Because ties are broken by insertion order,
 // a simulation with a fixed seed is fully deterministic: the same inputs
 // always produce the same event trace, byte for byte.
 //
+// Pending events live in two heaps. The near heap holds one-shot events
+// (At/After: port deliveries, transmit completions, switch relays, shaper
+// wake-ups). The recurring heap holds the next occurrence of each
+// recurring process (Recur/Every: traffic sources, the 1553B minor
+// frame). A recurring process re-arms far into the future every time it
+// fires, so keeping those nodes apart leaves the near heap holding only
+// the handful of events that are actually imminent, and most pops sift
+// through a heap a few nodes deep. The scheduler takes the smaller of
+// the two heads by (time, sequence); sequence numbers are drawn from one
+// counter at scheduling time whichever heap an event joins, so the
+// delivery order is the single sorted order a one-heap kernel produces.
+//
 // Event records are pooled: a fired or canceled event returns to a
-// free list and is reused by the next At/After, so the steady-state
-// scheduling path performs no heap allocation. A per-event generation
-// counter keeps stale EventRefs (to fired, canceled, or recycled events)
-// safely invalid.
+// free list and is reused by the next At/After or re-arm, so the
+// steady-state scheduling path performs no heap allocation. A per-event
+// generation counter keeps stale EventRefs (to fired, canceled, or
+// recycled events) safely invalid.
 package des
 
 import (
@@ -32,7 +44,7 @@ type event struct {
 	at  simtime.Time
 	seq uint64 // tie-break: FIFO among equal timestamps
 	fn  Handler
-	// idx is the record's permanent slot in its Pool's record table; heap
+	// idx is the record's permanent slot in the simulator's record table; heap
 	// nodes address records by this index so the heap itself stays free
 	// of pointers (the GC neither scans nor write-barriers sift moves).
 	idx int32
@@ -62,9 +74,13 @@ func (r EventRef) Valid() bool { return r.ev != nil && r.gen == r.ev.gen }
 // node halves the sift-down depth and keeps siblings on one cache line).
 // Heap nodes carry (at, seq) by value so sift comparisons never chase the
 // *event pointer — the event record is touched only on push and pop.
-// Because (at, seq) is a strict total order (seq is unique), the pop
-// order is exactly sorted order for any correct heap, so swapping
-// implementations cannot change a simulation's event trace.
+//
+// A Simulator keeps two of these (near and recurring events, see the
+// package comment) and always delivers the smaller of their two roots.
+// Because (at, seq) is a strict total order (seq is unique across both
+// heaps), that merge yields exactly sorted order for any correct heap,
+// so neither the split nor the heap implementation can change a
+// simulation's event trace.
 type eventQueue struct {
 	ev []heapNode
 }
@@ -87,8 +103,6 @@ func nodeLess(a, b heapNode) bool {
 	return a.seq < b.seq
 }
 
-func (q *eventQueue) len() int { return len(q.ev) }
-
 // push appends ev and sifts it up to its heap position.
 func (q *eventQueue) push(ev *event) {
 	i := len(q.ev)
@@ -102,8 +116,8 @@ func (q *eventQueue) push(ev *event) {
 // It uses the bottom-up deletion strategy: sink the root hole to a leaf
 // following the smallest child (child-only comparisons), then place the
 // former last element into the hole and sift it up. The displaced last
-// element is almost always near-maximal — periodic re-arms land in the
-// far future — so the up-pass terminates immediately, saving the
+// element is usually near-maximal — a leaf of a heap whose keys mostly
+// grow — so the up-pass terminates after a comparison or two, saving the
 // per-level "new element vs child" comparison of the classic sift-down.
 func (q *eventQueue) pop() int32 {
 	idx := q.ev[0].idx
@@ -158,19 +172,20 @@ func (q *eventQueue) up(i int) {
 // all model code runs inside event handlers on one goroutine. (This is a
 // deliberate design choice — it is what makes runs reproducible.)
 type Simulator struct {
-	now     simtime.Time
-	queue   eventQueue
-	nextSeq uint64
-	rng     *RNG
-	// pool holds the free list of recycled event records; it may be
-	// shared across sequential simulator lifetimes (NewWithPool).
-	pool *Pool
+	now simtime.Time
+	// near holds one-shot events (At/After); recur holds the next
+	// occurrence of each recurring process (Recur/Every).
+	near, recur eventQueue
+	nextSeq     uint64
+	rng         *RNG
+	// pool holds the event records and their free list.
+	pool recordPool
 	// pending counts scheduled, not-yet-delivered events (kept live so
 	// Pending is O(1)).
 	pending int
-	// canceledInHeap counts lazily-canceled records still waiting in the
-	// heap, so the hot scheduling path skips the cancellation check
-	// entirely while it is zero (the overwhelmingly common state).
+	// canceledInHeap counts lazily-canceled records still waiting in
+	// either heap, so the hot scheduling path skips the cancellation
+	// check entirely while it is zero (the overwhelmingly common state).
 	canceledInHeap int
 	// executed counts delivered events, for progress reporting and tests.
 	executed uint64
@@ -178,13 +193,8 @@ type Simulator struct {
 	tracer func(at simtime.Time)
 }
 
-// Pool is a free list of event records that can outlive one Simulator:
-// a sweep worker running thousands of short simulations back to back
-// hands the same Pool to each, so the event records warmed up by one run
-// are reused by the next instead of being re-allocated from a cold heap.
-// A Pool is not safe for concurrent use — it belongs to one worker, like
-// the Simulator itself.
-type Pool struct {
+// recordPool is the simulator's free list of event records.
+type recordPool struct {
 	// recs is the permanent record table: event idx → record. Records
 	// are never freed, only returned to the free list.
 	recs []*event
@@ -193,7 +203,7 @@ type Pool struct {
 }
 
 // get takes a free record, or allocates and registers a fresh one.
-func (p *Pool) get() *event {
+func (p *recordPool) get() *event {
 	if n := len(p.free); n > 0 {
 		idx := p.free[n-1]
 		p.free = p.free[:n-1]
@@ -206,23 +216,25 @@ func (p *Pool) get() *event {
 	return ev
 }
 
+// heapPresize is the node capacity both heaps share at construction, and
+// nearPresize the near heap's part of it. One allocation of 256 nodes,
+// split in halves, covers the peaks of the built-in scenarios (94
+// recurring sources; up to 126 near events, at the dual-plane critical
+// instant) so warm-up pushes don't walk the append doubling chain; a
+// heap that outgrows its part reallocates on its own, without touching
+// the other's.
+const (
+	heapPresize = 256
+	nearPresize = 128
+)
+
 // New creates a simulator with its clock at the epoch and a deterministic
 // random number generator derived from seed.
 func New(seed uint64) *Simulator {
-	return NewWithPool(seed, nil)
-}
-
-// NewWithPool creates a simulator drawing event records from the given
-// shared pool (nil gets a private pool, equivalent to New).
-func NewWithPool(seed uint64, pool *Pool) *Simulator {
-	if pool == nil {
-		pool = &Pool{}
-	}
-	s := &Simulator{rng: NewRNG(seed), pool: pool}
-	// Presize the heap so warm-up pushes don't walk the append doubling
-	// chain; 256 nodes comfortably covers the pending-event peaks of the
-	// built-in scenarios (~160) in one allocation.
-	s.queue.ev = make([]heapNode, 0, 256)
+	s := &Simulator{rng: NewRNG(seed)}
+	nodes := make([]heapNode, heapPresize)
+	s.near.ev = nodes[:0:nearPresize]
+	s.recur.ev = nodes[nearPresize:nearPresize]
 	return s
 }
 
@@ -242,9 +254,6 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 // event. Passing nil removes the hook.
 func (s *Simulator) SetTracer(fn func(at simtime.Time)) { s.tracer = fn }
 
-// alloc takes an event record from the pool.
-func (s *Simulator) alloc() *event { return s.pool.get() }
-
 // recycle invalidates every outstanding reference to ev and returns the
 // record to the free list.
 func (s *Simulator) recycle(ev *event) {
@@ -260,20 +269,7 @@ func (s *Simulator) recycle(ev *event) {
 //
 //rtlint:hotpath
 func (s *Simulator) At(at simtime.Time, fn Handler) EventRef {
-	if at < s.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", at, s.now))
-	}
-	if fn == nil {
-		panic("des: nil event handler")
-	}
-	ev := s.alloc()
-	ev.at = at
-	ev.seq = s.nextSeq
-	ev.fn = fn
-	s.nextSeq++
-	s.queue.push(ev)
-	s.pending++
-	return EventRef{ev: ev, gen: ev.gen}
+	return s.schedule(&s.near, at, fn)
 }
 
 // After schedules fn to run d after the current time.
@@ -286,10 +282,31 @@ func (s *Simulator) After(d simtime.Duration, fn Handler) EventRef {
 	return s.At(s.now.Add(d), fn)
 }
 
+// schedule takes a record, stamps it with at and the next sequence
+// number, and pushes it on q.
+//
+//rtlint:hotpath
+func (s *Simulator) schedule(q *eventQueue, at simtime.Time, fn Handler) EventRef {
+	if at < s.now {
+		panic(fmt.Sprintf("des: scheduling event at %v before now %v", at, s.now))
+	}
+	if fn == nil {
+		panic("des: nil event handler")
+	}
+	ev := s.pool.get()
+	ev.at = at
+	ev.seq = s.nextSeq
+	ev.fn = fn
+	s.nextSeq++
+	q.push(ev)
+	s.pending++
+	return EventRef{ev: ev, gen: ev.gen}
+}
+
 // Cancel withdraws a pending event. Canceling an already-fired or
 // already-canceled event is a no-op so model code can cancel defensively.
 // Cancellation is lazy: the record is marked dead and discarded when it
-// reaches the top of the heap, so the sift routines never maintain heap
+// reaches the top of its heap, so the sift routines never maintain heap
 // indices. The record rejoins the free list only once it surfaces.
 //
 //rtlint:hotpath
@@ -304,15 +321,33 @@ func (s *Simulator) Cancel(r EventRef) {
 	s.canceledInHeap++
 }
 
-// drainCanceled discards lazily-canceled records sitting at the heap root
-// so the earliest live event (if any) is at position 0. While no cancels
-// are outstanding it is a single counter check.
-func (s *Simulator) drainCanceled() {
-	if s.canceledInHeap == 0 {
-		return
+// head discards lazily-canceled records sitting at either root and
+// returns the heap whose root is the earliest live event, or nil when
+// nothing is pending. While no cancels are outstanding the discard is a
+// single counter check.
+func (s *Simulator) head() *eventQueue {
+	if s.canceledInHeap > 0 {
+		s.drainCanceled(&s.near)
+		s.drainCanceled(&s.recur)
 	}
-	for len(s.queue.ev) > 0 && s.pool.recs[s.queue.ev[0].idx].canceled {
-		ev := s.pool.recs[s.queue.pop()]
+	near, recur := &s.near, &s.recur
+	if len(recur.ev) == 0 {
+		if len(near.ev) == 0 {
+			return nil
+		}
+		return near
+	}
+	if len(near.ev) == 0 || nodeLess(recur.ev[0], near.ev[0]) {
+		return recur
+	}
+	return near
+}
+
+// drainCanceled pops canceled records off q's root until a live event
+// (or nothing) is there.
+func (s *Simulator) drainCanceled(q *eventQueue) {
+	for len(q.ev) > 0 && s.pool.recs[q.ev[0].idx].canceled {
+		ev := s.pool.recs[q.pop()]
 		ev.canceled = false
 		s.canceledInHeap--
 		s.recycle(ev)
@@ -320,15 +355,23 @@ func (s *Simulator) drainCanceled() {
 }
 
 // Step delivers the single earliest pending event and returns true, or
-// returns false if the queue is empty.
+// returns false if nothing is pending.
 //
 //rtlint:hotpath
 func (s *Simulator) Step() bool {
-	s.drainCanceled()
-	if s.queue.len() == 0 {
+	q := s.head()
+	if q == nil {
 		return false
 	}
-	ev := s.pool.recs[s.queue.pop()]
+	s.deliver(q)
+	return true
+}
+
+// deliver pops q's root, advances the clock to it and runs its handler.
+//
+//rtlint:hotpath
+func (s *Simulator) deliver(q *eventQueue) {
+	ev := s.pool.recs[q.pop()]
 	s.pending--
 	s.now = ev.at
 	s.executed++
@@ -341,10 +384,9 @@ func (s *Simulator) Step() bool {
 		s.tracer(at)
 	}
 	fn()
-	return true
 }
 
-// Run delivers events until the queue drains.
+// Run delivers events until none is pending.
 func (s *Simulator) Run() {
 	for s.Step() {
 	}
@@ -353,13 +395,15 @@ func (s *Simulator) Run() {
 // RunUntil delivers events with timestamps ≤ deadline, then advances the
 // clock to exactly deadline. Events scheduled beyond the deadline remain
 // pending; a subsequent RunUntil may deliver them.
+//
+//rtlint:hotpath
 func (s *Simulator) RunUntil(deadline simtime.Time) {
 	for {
-		s.drainCanceled()
-		if s.queue.len() == 0 || s.queue.ev[0].at > deadline {
+		q := s.head()
+		if q == nil || q.ev[0].at > deadline {
 			break
 		}
-		s.Step()
+		s.deliver(q)
 	}
 	if s.now < deadline {
 		s.now = deadline
@@ -371,29 +415,68 @@ func (s *Simulator) RunFor(d simtime.Duration) {
 	s.RunUntil(s.now.Add(d))
 }
 
+// Recur runs fn at now+phase and then again after each gap fn returns,
+// until the returned stop function is called (stop may be called from
+// inside fn, which then fires no more, whatever it returns). It is the
+// kernel's one recurring process: traffic sources, periodic or with
+// random gaps, and the 1553B minor-frame interrupt are built on it, and
+// their pending occurrences live in the recurring heap.
+//
+// Each re-arm is scheduled when fn returns, after everything fn itself
+// scheduled, exactly as a handler ending in After(gap, ...) would be, so
+// the sequence numbers — and with them the event trace — are those of
+// that hand-written chain. A gap must be positive: a recurrence that
+// does not advance the clock is a model bug, and panics.
+func (s *Simulator) Recur(phase simtime.Duration, fn func() simtime.Duration) (stop func()) {
+	if phase < 0 {
+		panic(fmt.Sprintf("des: negative phase %v", phase))
+	}
+	if fn == nil {
+		panic("des: nil recurrence")
+	}
+	r := &recurrence{s: s, fn: fn}
+	r.tick = r.fire
+	r.ref = s.schedule(&s.recur, s.now.Add(phase), r.tick)
+	return r.stop
+}
+
+// recurrence is the state of one Recur process.
+type recurrence struct {
+	s       *Simulator
+	fn      func() simtime.Duration
+	tick    Handler // r.fire, bound once so re-arms allocate nothing
+	ref     EventRef
+	stopped bool
+}
+
+// fire runs one occurrence and re-arms the next.
+//
+//rtlint:hotpath
+func (r *recurrence) fire() {
+	gap := r.fn()
+	if r.stopped { // fn may have called stop
+		return
+	}
+	if gap <= 0 {
+		panic(fmt.Sprintf("des: non-positive recurrence gap %v", gap))
+	}
+	r.ref = r.s.schedule(&r.s.recur, r.s.now.Add(gap), r.tick)
+}
+
+// stop ends the recurrence and cancels its pending occurrence.
+func (r *recurrence) stop() {
+	r.stopped = true
+	r.s.Cancel(r.ref)
+}
+
 // Every schedules fn to run now+phase, then every period thereafter, until
-// the returned stop function is called. It is the building block for
-// periodic traffic sources and for the 1553B minor-frame interrupt.
+// the returned stop function is called. It is Recur with a fixed gap.
 func (s *Simulator) Every(phase, period simtime.Duration, fn Handler) (stop func()) {
 	if period <= 0 {
 		panic(fmt.Sprintf("des: non-positive period %v", period))
 	}
-	stopped := false
-	var ref EventRef
-	var tick Handler
-	//rtlint:hotpath
-	tick = func() {
-		if stopped {
-			return
-		}
+	return s.Recur(phase, func() simtime.Duration {
 		fn()
-		if !stopped { // fn may have called stop
-			ref = s.After(period, tick)
-		}
-	}
-	ref = s.After(phase, tick)
-	return func() {
-		stopped = true
-		s.Cancel(ref)
-	}
+		return period
+	})
 }

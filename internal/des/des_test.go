@@ -182,25 +182,6 @@ func TestEventPoolRecycles(t *testing.T) {
 	}
 }
 
-func TestSharedPoolReusesAcrossSimulators(t *testing.T) {
-	// A sweep worker's sims share one pool: records warmed by the first
-	// run must serve the second without growing the free list.
-	pool := &Pool{}
-	for round := 0; round < 3; round++ {
-		s := NewWithPool(uint64(round+1), pool)
-		for i := 0; i < 100; i++ {
-			s.After(simtime.Duration(i+1), func() {})
-		}
-		s.Run()
-	}
-	if got := len(pool.free); got > 101 {
-		t.Errorf("shared free list grew to %d records for 100 pending events", got)
-	}
-	if got := len(pool.free); got == 0 {
-		t.Errorf("shared free list empty after three runs; pooling not happening")
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	s := New(1)
 	var fired []simtime.Time

@@ -59,11 +59,15 @@ type SwitchConfig struct {
 // database, moved across the fabric within RelayLatency, and queued on the
 // destination output port.
 type Switch struct {
-	cfg  SwitchConfig
-	sim  *des.Simulator
-	port map[int]*swPort
-	ids  []int // attached port ids, ascending, so flood replication order is deterministic
-	fdb  map[Addr]int
+	cfg SwitchConfig
+	sim *des.Simulator
+	// out is the egress Port of each attached port, indexed by port id
+	// (nil where no port is attached): ids are dense small integers
+	// (directed-edge ids in the network model), so the per-frame egress
+	// lookup is a slice index rather than a map probe.
+	out []*Port
+	ids []int // attached port ids, ascending, so flood replication order is deterministic
+	fdb map[Addr]int
 
 	// relay is the FIFO of frames crossing the fabric. Every crossing
 	// takes exactly RelayLatency, so relay completions fire in submission
@@ -84,11 +88,6 @@ type relayEntry struct {
 	out *Port
 }
 
-type swPort struct {
-	id  int
-	out *Port
-}
-
 // NewSwitch creates an empty switch; attach devices with AttachPort.
 func NewSwitch(sim *des.Simulator, cfg SwitchConfig) *Switch {
 	if sim == nil {
@@ -97,7 +96,7 @@ func NewSwitch(sim *des.Simulator, cfg SwitchConfig) *Switch {
 	if cfg.RelayLatency < 0 {
 		panic(fmt.Sprintf("ethernet: negative relay latency %v", cfg.RelayLatency))
 	}
-	s := &Switch{cfg: cfg, sim: sim, port: map[int]*swPort{}, fdb: map[Addr]int{}}
+	s := &Switch{cfg: cfg, sim: sim, fdb: map[Addr]int{}}
 	s.relayFn = s.relayPop
 	// Presize the relay ring past its compaction threshold so the steady
 	// state is reached in one allocation.
@@ -125,18 +124,22 @@ func (s *Switch) newQueue(id int) Queue {
 	}
 }
 
-// AttachPort creates switch port id with a downlink of the given rate and
-// propagation delay toward a device, delivering received frames to
-// deliver. It returns the function the device calls to hand the switch a
-// fully received frame on that port (the uplink's deliver callback).
+// AttachPort creates switch port id (≥ 0) with a downlink of the given
+// rate and propagation delay toward a device, delivering received frames
+// to deliver. It returns the function the device calls to hand the switch
+// a fully received frame on that port (the uplink's deliver callback).
 func (s *Switch) AttachPort(id int, rate simtime.Rate, prop simtime.Duration, deliver func(*Frame)) (ingress func(*Frame)) {
-	if _, dup := s.port[id]; dup {
+	if id < 0 {
+		panic(fmt.Sprintf("ethernet: negative switch port %d", id))
+	}
+	if s.port(id) != nil {
 		panic(fmt.Sprintf("ethernet: duplicate switch port %d", id))
 	}
+	for len(s.out) <= id {
+		s.out = append(s.out, nil)
+	}
 	name := fmt.Sprintf("%s.port%d", s.cfg.Name, id)
-	p := &swPort{id: id}
-	p.out = NewPort(name, s.sim, s.newQueue(id), rate, prop, deliver)
-	s.port[id] = p
+	s.out[id] = NewPort(name, s.sim, s.newQueue(id), rate, prop, deliver)
 	s.ids = append(s.ids, id)
 	sort.Ints(s.ids)
 	return func(f *Frame) { s.receive(id, f) }
@@ -144,7 +147,7 @@ func (s *Switch) AttachPort(id int, rate simtime.Rate, prop simtime.Duration, de
 
 // Learn installs a static FDB entry mapping addr to port id.
 func (s *Switch) Learn(addr Addr, portID int) {
-	if _, ok := s.port[portID]; !ok {
+	if s.port(portID) == nil {
 		panic(fmt.Sprintf("ethernet: Learn on unknown port %d", portID))
 	}
 	s.fdb[addr] = portID
@@ -161,14 +164,18 @@ func (s *Switch) Lookup(addr Addr) (portID int, ok bool) {
 //
 //rtlint:hotpath
 func (s *Switch) receive(in int, f *Frame) {
-	// Source learning, as a real switch does.
+	// Source learning, as a real switch does. The entry is written only
+	// when it changes: in a statically configured network every source is
+	// already known on its ingress port, so the steady state only reads.
 	if !f.Src.IsMulticast() {
-		s.fdb[f.Src] = in
+		if id, ok := s.fdb[f.Src]; !ok || id != in {
+			s.fdb[f.Src] = in
+		}
 	}
 	if !f.Dst.IsBroadcast() {
 		if id, ok := s.fdb[f.Dst]; ok {
 			if id != in { // never reflect back out the ingress port
-				s.relayTo(s.port[id].out, f)
+				s.relayTo(s.out[id], f)
 			}
 			return
 		}
@@ -179,7 +186,7 @@ func (s *Switch) receive(in int, f *Frame) {
 	s.Flooded++
 	for _, id := range s.ids {
 		if id != in {
-			s.relayTo(s.port[id].out, f)
+			s.relayTo(s.out[id], f)
 		}
 	}
 }
@@ -216,9 +223,18 @@ func (s *Switch) PortIDs() []int {
 // OutputPort returns the egress Port of switch port id (for statistics and
 // departure hooks).
 func (s *Switch) OutputPort(id int) *Port {
-	p, ok := s.port[id]
-	if !ok {
+	p := s.port(id)
+	if p == nil {
 		panic(fmt.Sprintf("ethernet: unknown switch port %d", id))
 	}
-	return p.out
+	return p
+}
+
+// port returns the egress Port of switch port id, or nil if none is
+// attached.
+func (s *Switch) port(id int) *Port {
+	if id < 0 || id >= len(s.out) {
+		return nil
+	}
+	return s.out[id]
 }

@@ -109,6 +109,38 @@ func TestSwitchUnknownUnicastFloodsThenLearns(t *testing.T) {
 	}
 }
 
+func TestSwitchRelearnsMovedSource(t *testing.T) {
+	// A source learned on one port that shows up on another must move
+	// there: learning writes the FDB whenever the entry changes.
+	sim := des.New(1)
+	sw := NewSwitch(sim, SwitchConfig{Name: "sw", Kind: QueueFCFS})
+	var toA, toC []*Frame
+	inA := sw.AttachPort(1, rate10M, 0, func(f *Frame) { toA = append(toA, f) })
+	inB := sw.AttachPort(2, rate10M, 0, func(*Frame) {})
+	sw.AttachPort(4, rate10M, 0, func(f *Frame) { toC = append(toC, f) })
+	sw.Learn(StationAddr(3), 4)
+	mover := StationAddr(9)
+	sim.At(0, func() { inA(&Frame{Src: mover, Dst: StationAddr(3), PayloadLen: 8}) })
+	sim.Run()
+	if id, ok := sw.Lookup(mover); !ok || id != 1 {
+		t.Fatalf("first sighting: Lookup = (%d, %v), want (1, true)", id, ok)
+	}
+	sim.At(sim.Now(), func() { inB(&Frame{Src: mover, Dst: StationAddr(3), PayloadLen: 8}) })
+	sim.Run()
+	if id, ok := sw.Lookup(mover); !ok || id != 2 {
+		t.Fatalf("after moving: Lookup = (%d, %v), want (2, true)", id, ok)
+	}
+	// Frames for the mover now leave on port 2, not port 1.
+	sim.At(sim.Now(), func() { inA(&Frame{Src: StationAddr(5), Dst: mover, PayloadLen: 8}) })
+	sim.Run()
+	if len(toA) != 0 || len(toC) != 2 || sw.Flooded != 0 {
+		t.Errorf("toA=%d toC=%d flooded=%d, want 0, 2, 0", len(toA), len(toC), sw.Flooded)
+	}
+	if got := sw.OutputPort(2).Stats().Sent; got != 1 {
+		t.Errorf("port 2 sent %d frames, want 1", got)
+	}
+}
+
 func TestSwitchCongestionQueues(t *testing.T) {
 	// Two stations blast at a third: its downlink is the bottleneck and
 	// must serialize both flows without loss (unbounded queue).
@@ -201,8 +233,11 @@ func TestSwitchPanics(t *testing.T) {
 		"nil sim":        func() { NewSwitch(nil, SwitchConfig{}) },
 		"neg latency":    func() { NewSwitch(sim, SwitchConfig{RelayLatency: -1}) },
 		"dup port":       func() { sw.AttachPort(1, rate10M, 0, func(*Frame) {}) },
+		"neg port":       func() { sw.AttachPort(-1, rate10M, 0, func(*Frame) {}) },
 		"learn bad port": func() { sw.Learn(StationAddr(1), 99) },
+		"learn gap port": func() { sw.Learn(StationAddr(1), 0) },
 		"bad out port":   func() { sw.OutputPort(42) },
+		"neg out port":   func() { sw.OutputPort(-1) },
 	} {
 		func() {
 			defer func() {

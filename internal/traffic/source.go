@@ -116,22 +116,16 @@ func Start(sim *des.Simulator, set *Set, cfg SourceConfig, emit Emit) (stop func
 }
 
 // startRandomGaps schedules sporadic releases spaced by Period plus an
-// exponential slack with the given mean.
+// exponential slack with the given mean: each occurrence releases, then
+// draws its gap.
 func startRandomGaps(sim *des.Simulator, m *Message, phase, meanSlack simtime.Duration, release func()) (stop func()) {
-	stopped := false
-	var next func()
 	//rtlint:hotpath
-	next = func() {
-		if stopped {
-			return
-		}
+	return sim.Recur(phase, func() simtime.Duration {
 		release()
 		gap := m.Period
 		if meanSlack > 0 {
 			gap += simtime.Duration(sim.RNG().Exponential(float64(meanSlack)))
 		}
-		sim.After(gap, next)
-	}
-	sim.After(phase, next)
-	return func() { stopped = true }
+		return gap
+	})
 }
